@@ -336,12 +336,26 @@ def cmd_lab_pivot(args, seed, mapper):
 # ---------------------------------------------------------------------------
 # Parser and driver.
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _nonnegative_float(text):
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(parser, threads=False):
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: $TENSORDEC_SEED or 0)")
     parser.add_argument("--out", required=True, help="output directory")
     if threads:
-        parser.add_argument("--threads", type=int, default=1,
+        parser.add_argument("--threads", type=_positive_int, default=1,
                             help="worker threads for parallel trials/sampling")
 
 
@@ -360,7 +374,7 @@ def build_parser():
     p.add_argument("--model", choices=["exact", "smoothed"], default="exact")
     p.add_argument("--rho", type=float, default=0.5,
                    help="perturbation scale for --model smoothed")
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_nonnegative_float, default=0.0,
                    help="entrywise uniform noise magnitude added to the tensor")
     _add_common(p)
     p.set_defaults(func=cmd_synth, name="synth")
@@ -478,7 +492,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     seed = _resolve_seed(args)
-    threads = getattr(args, "threads", 1) or 1
+    threads = getattr(args, "threads", 1)
     started = time.perf_counter()
     try:
         if threads > 1:

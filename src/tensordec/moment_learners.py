@@ -40,6 +40,9 @@ from .seeding import TAG_SAMPLER, derive_rng
 from .tensor_core import CpDecomposition, DenseTensor, khatri_rao
 
 _MOMENT_BLOCK = 100_000
+# Rows per GEMM in _third_moment: bounds its temporary (8 MiB at n = 16) and
+# fixes the summation order. Kept apart from _MOMENT_BLOCK, which fixes the samples.
+_PRODUCT_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +169,15 @@ class MomentEstimate:
 # ---------------------------------------------------------------------------
 # Gaussian mixtures.
 
-def _sample_blocks(n_samples):
-    starts = list(range(0, int(n_samples), _MOMENT_BLOCK))
-    return [(b, s, min(_MOMENT_BLOCK, int(n_samples) - s)) for b, s in enumerate(starts)]
+def _stacked_blocks(mapper, one_block, shape):
+    """``one_block`` over the fixed-size sample blocks, stacked in block order
+    into one array; each block is dropped once copied, not kept to the end."""
+    out = np.empty(shape)
+    specs = [(b, s, min(_MOMENT_BLOCK, shape[0] - s))
+             for b, s in enumerate(range(0, shape[0], _MOMENT_BLOCK))]
+    for (_, start, count), block in zip(specs, mapper(one_block, specs)):
+        out[start : start + count] = block
+    return out
 
 
 def gmm_sample(params, n_samples, seed=0, mapper=map):
@@ -189,16 +198,20 @@ def gmm_sample(params, n_samples, seed=0, mapper=map):
         noise = rng.standard_normal((count, params.dimension))
         return params.means.T[labels] + noise
 
-    return np.concatenate(list(mapper(one_block, _sample_blocks(n_samples))))
+    return _stacked_blocks(mapper, one_block, (n_samples, params.dimension))
 
 
-def _blocked_third_moment(samples):
-    n = samples.shape[1]
-    acc = np.zeros((n, n, n))
-    for start in range(0, samples.shape[0], _MOMENT_BLOCK):
-        block = samples[start : start + _MOMENT_BLOCK]
-        acc += np.einsum("sa,sb,sc->abc", block, block, block, optimize=True)
-    return acc / samples.shape[0]
+def _third_moment(a, b, c):
+    """``E[a (x) b (x) c]`` over the rows: for each fixed block of rows, in
+    order, one GEMM ``(a (x) b)^T c`` into a single accumulator."""
+    n_rows = a.shape[0]
+    width = a.shape[1] * b.shape[1]
+    acc = np.zeros((width, c.shape[1]))
+    for start in range(0, n_rows, _PRODUCT_BLOCK):
+        rows = slice(start, start + _PRODUCT_BLOCK)
+        ab = (a[rows, :, None] * b[rows, None, :]).reshape(-1, width)
+        acc += ab.T @ c[rows]
+    return acc.reshape(a.shape[1], b.shape[1], c.shape[1]) / n_rows
 
 
 def gmm_statistic_t3(samples):
@@ -211,7 +224,7 @@ def gmm_statistic_t3(samples):
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise PreconditionError("samples must be a nonempty (N, n) array")
     n = samples.shape[1]
-    mom3 = _blocked_third_moment(samples)
+    mom3 = _third_moment(samples, samples, samples)
     mom1 = samples.mean(axis=0)
     eye = np.eye(n)
     correction = (
@@ -400,20 +413,28 @@ def hmm_sample(params, n_windows, window=3, seed=0, mapper=map):
             x = x + params.noise_scale * rng.standard_normal(x.shape)
         return x
 
-    return np.concatenate(list(mapper(one_block, _sample_blocks(n_windows))))
+    return _stacked_blocks(mapper, one_block, (n_windows, window, params.dimension))
 
 
 def _block_kron(windows, time_indices):
     """Per-sample Kronecker product of the observations at the given times,
     first listed time as the major index."""
     n_samples = windows.shape[0]
-    out = np.ones((n_samples, 1))
-    for t in time_indices:
+    out = windows[:, time_indices[0], :]
+    for t in time_indices[1:]:
         out = (out[:, :, None] * windows[:, t, None, :]).reshape(n_samples, -1)
     return out
 
 
 def _window_blocks(windows, context):
+    windows = np.asarray(windows, dtype=np.float64)
+    context = int(context)
+    if windows.ndim != 3 or windows.shape[0] < 1:
+        raise PreconditionError("windows must be a nonempty (N, window, n) array")
+    if context < 1 or windows.shape[1] != 2 * context + 1:
+        raise PreconditionError(
+            f"window length {windows.shape[1]} does not match context {context}"
+        )
     left = _block_kron(windows, list(range(context - 1, -1, -1)))
     center = windows[:, context, :]
     right = _block_kron(windows, list(range(context + 1, 2 * context + 1)))
@@ -428,25 +449,10 @@ def hmm_moment_tensor(windows, context=1):
     observations (nearest first). The population value has rank k with the
     observation means as the center-mode factors.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    context = int(context)
-    if windows.ndim != 3 or windows.shape[0] < 1:
-        raise PreconditionError("windows must be a nonempty (N, window, n) array")
-    if context < 1 or windows.shape[1] != 2 * context + 1:
-        raise PreconditionError(
-            f"window length {windows.shape[1]} does not match context {context}"
-        )
-    n_samples = windows.shape[0]
     left, center, right = _window_blocks(windows, context)
-    acc = np.zeros((left.shape[1], center.shape[1], right.shape[1]))
-    for start in range(0, n_samples, _MOMENT_BLOCK):
-        sl = slice(start, start + _MOMENT_BLOCK)
-        acc += np.einsum(
-            "sa,sb,sc->abc", left[sl], center[sl], right[sl], optimize=True
-        )
     return MomentEstimate(
-        tensor=DenseTensor(acc / n_samples),
-        sample_count=int(n_samples),
+        tensor=DenseTensor(_third_moment(left, center, right)),
+        sample_count=int(center.shape[0]),
         moments_used=("window_triple",),
     )
 
@@ -469,12 +475,10 @@ class HmmMoments:
 
 def hmm_empirical_moments(windows, context=1):
     """All statistics the learner needs, estimated from the same windows."""
-    est = hmm_moment_tensor(windows, context)
-    windows = np.asarray(windows, dtype=np.float64)
     left, center, right = _window_blocks(windows, context)
-    n_samples = windows.shape[0]
+    n_samples = center.shape[0]
     return HmmMoments(
-        tensor=est.tensor,
+        tensor=DenseTensor(_third_moment(left, center, right)),
         center_mean=center.mean(axis=0),
         center_future=center.T @ right / n_samples,
         center_second=center.T @ center / n_samples,

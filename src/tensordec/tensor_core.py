@@ -9,6 +9,7 @@ and each column's sign fixed so that its first nonzero entry is positive.
 
 import functools
 import json
+import math
 
 import numpy as np
 
@@ -127,17 +128,14 @@ class CpDecomposition:
             raise PreconditionError("weights must be finite")
 
         for f in mats:
-            for i in range(k):
-                col = f[:, i]
-                norm = float(np.linalg.norm(col))
-                if norm > 0.0:
-                    col /= norm
-                    w[i] *= norm
-                nz = np.flatnonzero(col)
-                if nz.size and col[nz[0]] < 0.0:
-                    col *= -1.0
-                    w[i] = -w[i]
-        for f in mats:
+            norms = np.linalg.norm(f, axis=0)
+            norms[norms == 0.0] = 1.0
+            f /= norms
+            w *= norms
+            first = f[np.argmax(f != 0.0, axis=0), np.arange(k)]
+            signs = np.where(first < 0.0, -1.0, 1.0)
+            f *= signs
+            w *= signs
             f.flags.writeable = False
         w.flags.writeable = False
         self._factors = tuple(mats)
@@ -351,7 +349,7 @@ def read_tnsr(path):
         or not all(isinstance(s, int) and s >= 1 for s in shape)
     ):
         raise FormatError(f"{path}: inconsistent order/shape in header")
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     body = raw[nl + 1 :]
     if len(body) != 8 * count:
         raise FormatError(

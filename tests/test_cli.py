@@ -64,6 +64,14 @@ class TestSynth:
         diff = np.max(np.abs(perturbed.data - clean.data))
         assert 0 < diff <= 1e-9
 
+    def test_negative_noise_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "2",
+                "--noise", "-1")
+        assert exc_info.value.code == 2
+        assert "--noise" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_shape_exit_code(self, tmp_path):
         code, out = run(tmp_path, "synth", "--shape", "8,oops", "--rank", "2")
         assert code == 4
@@ -135,6 +143,13 @@ class TestDecompose:
     def test_missing_input_no_partial_outputs(self, tmp_path):
         code, out = run(tmp_path, "decompose", "--input",
                         str(tmp_path / "nothing.tnsr"))
+        assert code == 2
+        assert not out.exists()
+
+    def test_oversized_shape_exit_code(self, tmp_path):
+        big = tmp_path / "big.tnsr"
+        big.write_bytes(b'{"order": 2, "shape": [4294967296, 4294967296]}\n')
+        code, out = run(tmp_path, "decompose", "--input", str(big))
         assert code == 2
         assert not out.exists()
 
@@ -315,6 +330,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             build_parser().parse_args(["transmogrify"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        with pytest.raises(SystemExit) as exc_info:
+            run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "4", "--l", "2",
+                "--trials", "2", "--threads", threads)
+        assert exc_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

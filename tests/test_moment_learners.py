@@ -26,6 +26,12 @@ from tensordec import (
     match_columns,
     stationary_distribution,
 )
+from tensordec.moment_learners import _PRODUCT_BLOCK, _third_moment
+
+
+def assert_rel_close(got, ref, rel):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
 class TestGmmSample:
@@ -55,6 +61,24 @@ class TestGmmSample:
             params, 150_000, seed=5, mapper=lambda f, xs: map(f, list(xs))
         )
         assert np.array_equal(serial, shuffled)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda mapper: gmm_sample(gmm_orthogonal_params(3, 2, seed=3), 250_001,
+                                  seed=5, mapper=mapper),
+        lambda mapper: hmm_sample(hmm_random_params(3, 2, seed=3), 250_001,
+                                  seed=5, mapper=mapper),
+    ], ids=["gmm", "hmm"])
+    def test_blocks_stacked_in_order(self, sampler):
+        blocks = []
+
+        def recording(f, specs):
+            for spec in specs:
+                blocks.append(f(spec))
+                yield blocks[-1]
+
+        got = sampler(recording)
+        assert len(blocks) == 3
+        assert np.array_equal(got, np.concatenate(blocks))
 
     def test_sample_count_validated(self):
         with pytest.raises(PreconditionError):
@@ -132,6 +156,23 @@ class TestGmmStatistics:
         samples = np.tile(mu, (40, 1))
         m = gmm_second_moment(samples)
         assert np.allclose(m, np.outer(mu, mu) - np.eye(3), atol=1e-12)
+
+
+class TestThirdMomentKernel:
+    ROWS = [1, _PRODUCT_BLOCK - 1, _PRODUCT_BLOCK, _PRODUCT_BLOCK + 1]
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_symmetric_matches_einsum(self, n_rows):
+        x = np.random.default_rng(n_rows).standard_normal((n_rows, 5)) + 1.0
+        ref = np.einsum("sa,sb,sc->abc", x, x, x) / n_rows
+        assert_rel_close(_third_moment(x, x, x), ref, 1e-12)
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_asymmetric_widths_match_einsum(self, n_rows):
+        rng = np.random.default_rng(n_rows + 1)
+        a, b, c = (rng.standard_normal((n_rows, w)) for w in (3, 4, 2))
+        ref = np.einsum("sa,sb,sc->abc", a, b, c) / n_rows
+        assert_rel_close(_third_moment(a, b, c), ref, 1e-12)
 
 
 class TestGmmLearn:
@@ -343,6 +384,22 @@ class TestHmmMoments:
         assert emp.sample_count == 100_000
         diff = np.linalg.norm(emp.tensor.data - exact.tensor.data)
         assert diff < 0.25
+
+    @pytest.mark.parametrize("context", [1, 2])
+    def test_auxiliary_moments_from_the_same_windows(self, context):
+        params = hmm_random_params(3, 2, seed=35, noise_scale=0.1)
+        windows = hmm_sample(params, 5_000, window=2 * context + 1, seed=36)
+        got = hmm_empirical_moments(windows, context)
+        n_rows = windows.shape[0]
+        center = windows[:, context, :]
+        right = windows[:, context + 1, :]
+        if context == 2:
+            right = np.einsum("si,sj->sij", right, windows[:, 4, :]).reshape(n_rows, -1)
+        assert_rel_close(got.center_mean, center.mean(axis=0), 1e-13)
+        assert_rel_close(got.center_future, center.T @ right / n_rows, 1e-13)
+        assert_rel_close(got.center_second, center.T @ center / n_rows, 1e-13)
+        tensor = hmm_moment_tensor(windows, context).tensor.data
+        assert np.array_equal(got.tensor.data, tensor)
 
     def test_window_length_must_match_context(self):
         params = hmm_random_params(2, 2, seed=31)

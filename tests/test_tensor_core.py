@@ -118,6 +118,42 @@ class TestCpDecomposition:
         assert np.array_equal(d.factors[0], np.zeros((3, 1)))
         assert d.weights[0] == 2.0
 
+    def test_matches_column_loop(self):
+        # The reference canonicalizes one column at a time; the constructor
+        # does each factor matrix at once and must give the same form.
+        def loop_canonical(factors, weights):
+            mats = [np.array(f, dtype=np.float64) for f in factors]
+            w = np.array(weights, dtype=np.float64)
+            for f in mats:
+                for i in range(w.shape[0]):
+                    col = f[:, i]
+                    norm = float(np.linalg.norm(col))
+                    if norm > 0.0:
+                        col /= norm
+                        w[i] *= norm
+                    nz = np.flatnonzero(col)
+                    if nz.size and col[nz[0]] < 0.0:
+                        col *= -1.0
+                        w[i] = -w[i]
+            return mats, w
+
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            rank = int(rng.integers(1, 9))
+            factors = [rng.standard_normal((int(n), rank))
+                       for n in rng.integers(1, 7, size=3)]
+            weights = rng.standard_normal(rank)
+            factors[0][:, 0] = 0.0                 # a zero column
+            factors[1][0, -1] = 0.0                # first entry 0
+            factors[2][: factors[2].shape[0] // 2, rank // 2] = 0.0  # leading zeros
+            d = CpDecomposition(factors, weights)
+            ref_mats, ref_w = loop_canonical(factors, weights)
+            for got, ref in zip(d.factors, ref_mats):
+                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-15)
+                assert np.array_equal(np.sign(got), np.sign(ref))
+            np.testing.assert_allclose(d.weights, ref_w, rtol=1e-14, atol=0.0)
+            assert np.array_equal(d.factors[0][:, 0], np.zeros(d.shape[0]))
+
     def test_term_reconstruction(self):
         d = CpDecomposition(
             [np.array([[1.0], [0.0]]), np.array([[0.0], [2.0]])], [3.0]
@@ -352,6 +388,13 @@ class TestTnsrFormat:
     def test_payload_length_mismatch(self, tmp_path):
         path = tmp_path / "bad.tnsr"
         path.write_bytes(b'{"order": 1, "shape": [2]}\n' + b"\x00" * 8)
+        with pytest.raises(FormatError):
+            read_tnsr(path)
+
+    def test_oversized_shape_rejected(self, tmp_path):
+        # 2^32 * 2^32 entries wrap to 0 in a fixed-width product
+        path = tmp_path / "big.tnsr"
+        path.write_bytes(b'{"order": 2, "shape": [4294967296, 4294967296]}\n')
         with pytest.raises(FormatError):
             read_tnsr(path)
 
