@@ -147,7 +147,7 @@ def cmd_synth(args, seed, mapper):
 def cmd_decompose(args, seed, mapper):
     tensor = read_tnsr(args.input)
     inputs = [args.input]
-    rank = "auto" if args.rank is None or args.rank == "auto" else int(args.rank)
+    rank = args.rank
     cfg = JennrichConfig(rank=rank, seed=seed)
 
     if args.method == "jennrich":
@@ -343,6 +343,15 @@ def _positive_int(text):
     return value
 
 
+def _rank(text):
+    if text == "auto":
+        return text
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or at least 0, got {value}")
+    return value
+
+
 def _nonnegative_float(text):
     value = float(text)
     if not value >= 0.0:
@@ -384,8 +393,8 @@ def build_parser():
     p.add_argument("--method",
                    choices=["jennrich", "flatten-jennrich", "power"],
                    default="jennrich")
-    p.add_argument("--rank", default=None,
-                   help="target rank (integer or 'auto')")
+    p.add_argument("--rank", type=_rank, default="auto",
+                   help="target rank (nonnegative integer or 'auto')")
     p.add_argument("--groups", default=None,
                    help="flattening groups, 1-based, e.g. 1,2/3,4/5")
     p.add_argument("--whiten", default=None,

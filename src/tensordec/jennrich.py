@@ -37,6 +37,12 @@ from .seeding import TAG_JENNRICH, derive_rng
 from .tensor_core import CpDecomposition, khatri_rao, slice_combination
 
 AUTO_RANK_THRESHOLD = 1e-6
+# Smallest acceptable eigenvalue gap and magnitude before a draw is rejected.
+_MIN_SEP = 1e-9
+# How far the product of two paired eigenvalues may sit from 1.
+_EIG_PAIR_TOL = 1e-3
+# Random draws of the combination vectors before giving up.
+_DRAWS = 6
 
 
 @dataclass(frozen=True)
@@ -44,17 +50,11 @@ class JennrichConfig:
     """Knobs for :func:`jennrich_decompose`.
 
     rank: target number of terms, or "auto" to keep every eigenvalue above
-    ``1e-6`` times the largest. min_sep: smallest acceptable eigenvalue
-    gap/magnitude before the random combination vectors are redrawn.
-    eig_pair_tol: how far a paired eigenvalue product may sit from 1.
+    ``1e-6`` times the largest. seed: seeds the random combination vectors.
     """
 
     rank: object = "auto"
     seed: int = 0
-    min_sep: float = 1e-9
-    eig_pair_tol: float = 1e-3
-    max_retries: int = 5
-    rank_tol: float = 1e-10
 
 
 @dataclass
@@ -85,43 +85,6 @@ class RecoveryReport:
                 value = value.tolist()
             out[key] = value
         return out
-
-
-@dataclass(frozen=True)
-class SeparationDiagnostic:
-    """Spread of the Rayleigh ratios ``<w_i, a> / <w_i, b>``."""
-
-    min_ratio_gap: float
-    min_ratio_magnitude: float
-    near_zero_denominator: bool
-
-
-def separation_diagnostic(w_factors, a, b):
-    """Measure how well two combination vectors separate the w-directions.
-
-    Returns the minimum pairwise gap between the ratios
-    ``<w_i, a> / <w_i, b>`` and the minimum ratio magnitude. A denominator
-    within 1e-12 of zero (relative to the column and vector norms) is
-    flagged; such draws should be rejected.
-    """
-    w = np.asarray(w_factors, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if w.ndim != 2:
-        raise PreconditionError("w_factors must be a (p, k) matrix")
-    if a.shape != (w.shape[0],) or b.shape != (w.shape[0],):
-        raise PreconditionError("combination vectors must match the mode size")
-    num = w.T @ a
-    den = w.T @ b
-    scale = np.linalg.norm(w, axis=0) * np.linalg.norm(b)
-    near_zero = bool(np.any(np.abs(den) <= 1e-12 * np.where(scale > 0, scale, 1.0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den != 0.0, num / den, np.inf)
-    gap = _min_pairwise_gap(ratios)
-    mag = float(np.min(np.abs(ratios))) if ratios.size else float("inf")
-    return SeparationDiagnostic(
-        min_ratio_gap=gap, min_ratio_magnitude=mag, near_zero_denominator=near_zero
-    )
 
 
 def _min_pairwise_gap(values):
@@ -181,16 +144,15 @@ def jennrich_decompose(t, config=None):
             )
     rng = derive_rng(cfg.seed, TAG_JENNRICH, 0)
 
-    attempts = int(cfg.max_retries) + 1
-    failure = {"attempts": attempts}
-    for attempt in range(attempts):
+    failure = {"attempts": _DRAWS}
+    for attempt in range(_DRAWS):
         a = rng.normal(0.0, 1.0 / np.sqrt(p), size=p)
         b = rng.normal(0.0, 1.0 / np.sqrt(p), size=p)
         ma = slice_combination(t, a)
         mb = slice_combination(t, b)
 
         if rank == "auto":
-            m_u = ma @ pseudoinverse(mb, rank_tol=cfg.rank_tol)
+            m_u = ma @ pseudoinverse(mb)
             probe = eig_nonsymmetric(m_u)
             mags = np.abs(probe.values)
             top = float(np.max(mags)) if mags.size else 0.0
@@ -205,8 +167,8 @@ def jennrich_decompose(t, config=None):
             )
             return empty, RecoveryReport(condition_numbers=[], retries=attempt)
 
-        m_u = ma @ pseudoinverse(mb, rank_tol=cfg.rank_tol, rank=k)
-        m_v = (pseudoinverse(ma, rank_tol=cfg.rank_tol, rank=k) @ mb).T
+        m_u = ma @ pseudoinverse(mb, rank=k)
+        m_v = (pseudoinverse(ma, rank=k) @ mb).T
         eig_u = eig_nonsymmetric(m_u)
         eig_v = eig_nonsymmetric(m_v)
         top_u = np.argsort(-np.abs(eig_u.values))[:k]
@@ -216,7 +178,7 @@ def jennrich_decompose(t, config=None):
 
         gap = min(_min_pairwise_gap(lam), _min_pairwise_gap(mu))
         mag = float(min(np.min(np.abs(lam)), np.min(np.abs(mu))))
-        if not (gap >= cfg.min_sep and mag >= cfg.min_sep):
+        if not (gap >= _MIN_SEP and mag >= _MIN_SEP):
             failure.update(min_gap=gap, min_magnitude=mag, stage="separation")
             continue
 
@@ -224,7 +186,7 @@ def jennrich_decompose(t, config=None):
         cost = np.abs(lam[:, None] * mu[None, :] - 1.0)
         rows, cols = linear_sum_assignment(cost)
         residuals = cost[rows, cols]
-        if np.max(residuals) > cfg.eig_pair_tol:
+        if np.max(residuals) > _EIG_PAIR_TOL:
             failure.update(
                 worst_pair_residual=float(np.max(residuals)), stage="pairing"
             )
@@ -239,7 +201,7 @@ def jennrich_decompose(t, config=None):
         # the rank-one coefficient matrices u_i v_i^T.
         design = khatri_rao(u_mat, v_mat)
         unfolding = t.data.reshape(n * m, p)
-        w_mat = (pseudoinverse(design, rank_tol=cfg.rank_tol) @ unfolding).T
+        w_mat = (pseudoinverse(design) @ unfolding).T
 
         decomposition = CpDecomposition([u_mat, v_mat, w_mat], np.ones(k))
         report = RecoveryReport(
@@ -254,7 +216,7 @@ def jennrich_decompose(t, config=None):
 
     raise DegeneracyError(
         "no random slice combination produced separated, reciprocally paired "
-        f"eigenvalues after {attempts} draws",
+        f"eigenvalues after {_DRAWS} draws",
         diagnostics=failure,
     )
 

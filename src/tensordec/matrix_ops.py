@@ -1,9 +1,9 @@
 """Thin, contract-checked wrappers around the dense linear algebra kernels.
 
 Everything here defers the numerics to LAPACK via numpy/scipy; the value
-added is fixed conventions (singular values descending, V with orthonormal
-columns, relative rank cutoffs) and the leave-one-out distance, which is a
-column-wise projection quantity rather than a stock kernel.
+added is fixed conventions (a relative rank cutoff, unit eigenvectors) and
+the leave-one-out distance, which is a column-wise projection quantity
+rather than a stock kernel.
 """
 
 from dataclasses import dataclass
@@ -13,15 +13,8 @@ import scipy.linalg
 
 from .errors import PreconditionError
 
-
-@dataclass(frozen=True)
-class SvdResult:
-    """u: (n, r) orthonormal columns; singular_values: descending (r,);
-    v: (m, r) orthonormal columns, so ``M = u @ diag(s) @ v.T``."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    v: np.ndarray
+# Singular values at or below this fraction of the largest count as zero.
+_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -42,33 +35,25 @@ def _as_matrix(m, who):
     return m
 
 
-def svd(m):
-    """Thin SVD with singular values sorted descending."""
-    m = _as_matrix(m, "svd")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SvdResult(u=u, singular_values=s, v=vh.T)
-
-
-def pseudoinverse(m, rank_tol=1e-10, rank=None):
+def pseudoinverse(m, rank=None):
     """Moore-Penrose pseudoinverse via SVD truncation.
 
-    Singular values at or below ``rank_tol`` times the largest are treated
-    as zero. When ``rank`` is given, at most that many leading singular
-    values are inverted (callers that know the target rank truncate there).
+    Singular values at or below ``1e-10`` times the largest are treated as
+    zero. When ``rank`` is given, at most that many leading singular values
+    are inverted (callers that know the target rank truncate there).
     """
     m = _as_matrix(m, "pseudoinverse")
-    res = svd(m)
-    s = res.singular_values
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
-    keep = s > rank_tol * s[0]
+    keep = s > _RANK_RTOL * s[0]
     if rank is not None:
         keep &= np.arange(s.size) < int(rank)
     r = int(np.count_nonzero(keep))
     if r == 0:
         return np.zeros((m.shape[1], m.shape[0]))
-    inv = res.v[:, :r] / s[:r]
-    return inv @ res.u[:, :r].T
+    inv = vh[:r].T / s[:r]
+    return inv @ u[:, :r].T
 
 
 def eig_nonsymmetric(m):
@@ -121,14 +106,3 @@ def leave_one_out(m):
                 dist = float(np.linalg.norm(resid))
         best = min(best, dist)
     return best
-
-
-def solve_least_squares(a, b):
-    """Minimum-norm least squares solution of ``a x ~ b`` via pseudoinverse."""
-    a = _as_matrix(a, "solve_least_squares")
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != a.shape[0]:
-        raise PreconditionError(
-            f"rhs length {b.shape[0]} does not match {a.shape[0]} rows"
-        )
-    return pseudoinverse(a) @ b

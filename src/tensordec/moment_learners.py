@@ -157,15 +157,6 @@ class HmmParams:
         return (w[:, None] * self.transition.T) / w[None, :]
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    """An empirical moment tensor plus how it was built."""
-
-    tensor: DenseTensor
-    sample_count: int
-    moments_used: tuple
-
-
 # ---------------------------------------------------------------------------
 # Gaussian mixtures.
 
@@ -232,11 +223,7 @@ def gmm_statistic_t3(samples):
         + np.einsum("b,ac->abc", mom1, eye)
         + np.einsum("c,ab->abc", mom1, eye)
     )
-    return MomentEstimate(
-        tensor=DenseTensor(mom3 - correction),
-        sample_count=int(samples.shape[0]),
-        moments_used=("mom1", "mom3"),
-    )
+    return DenseTensor(mom3 - correction)
 
 
 def gmm_second_moment(samples):
@@ -363,10 +350,10 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
             means=samples.mean(axis=0)[:, None], weights=np.ones(1)
         )
     else:
-        est = gmm_statistic_t3(samples)
+        t3 = gmm_statistic_t3(samples)
         second = gmm_second_moment(samples) if method == "power" else None
         result = gmm_learn_from_moments(
-            est.tensor, k, order=3, method=method, second_moment=second, seed=seed
+            t3, k, order=3, method=method, second_moment=second, seed=seed
         )
     if truth is not None:
         true_means = truth.means if isinstance(truth, GmmParams) else np.asarray(truth)
@@ -449,12 +436,7 @@ def hmm_moment_tensor(windows, context=1):
     observations (nearest first). The population value has rank k with the
     observation means as the center-mode factors.
     """
-    left, center, right = _window_blocks(windows, context)
-    return MomentEstimate(
-        tensor=DenseTensor(_third_moment(left, center, right)),
-        sample_count=int(center.shape[0]),
-        moments_used=("window_triple",),
-    )
+    return DenseTensor(_third_moment(*_window_blocks(windows, context)))
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,18 @@ from .tensor_core import DenseTensor
 _DEGENERATE_NORM = 1e-14
 _SYMMETRY_RTOL = 1e-8
 _WHITEN_RANK_RTOL = 1e-8
+# Per run: iterations allowed, and the step size that counts as converged.
+_MAX_ITERS = 500
+_STEP_TOL = 1e-12
+# Independent runs per deflation round.
+_RESTARTS = 10
 
 
 @dataclass(frozen=True)
 class PowerConfig:
+    """Seed of the random starts of :func:`deflate_decompose`."""
+
     seed: int = 0
-    max_iters: int = 500
-    tol: float = 1e-12
-    restarts: int = 10
 
 
 @dataclass
@@ -101,54 +105,27 @@ def _require_symmetric(t, rtol=_SYMMETRY_RTOL):
     return arr
 
 
-def _iterate_from(arr, z, max_iters, tol):
-    """Run the contraction map from z; returns (z, iterations, converged,
-    degenerate)."""
-    for it in range(1, max_iters + 1):
+def _iterate_from(arr, z):
+    """Run the contraction map from z; returns (z, converged, degenerate)."""
+    for _ in range(_MAX_ITERS):
         u = np.einsum("ijk,j,k->i", arr, z, z)
         norm = float(np.linalg.norm(u))
         if norm < _DEGENERATE_NORM:
-            return z, it, False, True
+            return z, False, True
         z_next = u / norm
         step = float(np.linalg.norm(z_next - z))
         z = z_next
-        if step < tol:
-            return z, it, True, False
-    return z, max_iters, False, False
-
-
-def power_iterate(t, seed=0, max_iters=500, tol=1e-12):
-    """Single randomized power iteration run on a symmetric tensor.
-
-    Returns ``(z, lam, iterations)`` where ``lam = <T, z^(x3)>``. Starts
-    from a random unit vector; a vanishing contraction triggers a fresh
-    random start, at most 10 times, after which a DegeneracyError reports
-    the dead iterate (the zero tensor always ends up there).
-    """
-    arr = _require_symmetric(t)
-    rng = derive_rng(seed, TAG_POWER, 0)
-    restarts = 0
-    while True:
-        z = rng.standard_normal(arr.shape[0])
-        z /= np.linalg.norm(z)
-        z, iterations, converged, degenerate = _iterate_from(arr, z, max_iters, tol)
-        if not degenerate:
-            lam = float(z @ np.einsum("ijk,j,k->i", arr, z, z))
-            return z, lam, iterations
-        restarts += 1
-        if restarts > 10:
-            raise DegeneracyError(
-                "power iteration kept collapsing to a zero contraction",
-                diagnostics={"restarts": restarts},
-            )
+        if step < _STEP_TOL:
+            return z, True, False
+    return z, False, False
 
 
 def deflate_decompose(t, k, config=None):
     """Recover k terms of a symmetric tensor by iterated deflation.
 
-    Each round runs ``config.restarts`` independent power iterations on the
-    current residual tensor and keeps the converged run with the largest
-    ``|lambda|``; the winning term is subtracted and the next round begins.
+    Each round runs 10 independent power iterations, of at most 500 steps,
+    on the current residual tensor and keeps the converged run with the
+    largest ``|lambda|``; the winning term is subtracted and the next round begins.
     Returns ``(decomposition, residual_frobenius_norm)`` with terms sorted
     by ``|lambda|`` descending; lambdas are reported nonnegative, the sign
     folding into the vector. Raises DegeneracyError when a round has no
@@ -164,13 +141,11 @@ def deflate_decompose(t, k, config=None):
     vectors = []
     for round_idx in range(k):
         best = None
-        for restart in range(cfg.restarts):
+        for restart in range(_RESTARTS):
             rng = derive_rng(cfg.seed, TAG_POWER, round_idx, restart)
             z0 = rng.standard_normal(n)
             z0 /= np.linalg.norm(z0)
-            z, iters, converged, degenerate = _iterate_from(
-                arr, z0, cfg.max_iters, cfg.tol
-            )
+            z, converged, degenerate = _iterate_from(arr, z0)
             if degenerate or not converged:
                 continue
             lam = float(z @ np.einsum("ijk,j,k->i", arr, z, z))
@@ -179,7 +154,7 @@ def deflate_decompose(t, k, config=None):
         if best is None:
             raise DegeneracyError(
                 "no power iteration restart converged",
-                diagnostics={"round": round_idx, "restarts": cfg.restarts},
+                diagnostics={"round": round_idx, "restarts": _RESTARTS},
             )
         lam, z = best
         arr -= lam * np.einsum("i,j,k->ijk", z, z, z)

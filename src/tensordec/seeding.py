@@ -14,7 +14,6 @@ TAG_POWER = 2
 TAG_SAMPLER = 3
 TAG_LAB = 4
 TAG_SYNTH = 5
-TAG_PERTURB = 6
 TAG_NOISE = 7
 
 

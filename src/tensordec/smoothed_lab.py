@@ -23,45 +23,19 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, PreconditionError
-from .seeding import TAG_LAB, TAG_PERTURB, derive_rng
-from .tensor_core import CpDecomposition, khatri_rao
+from .seeding import TAG_LAB, derive_rng
+from .tensor_core import khatri_rao
 
 _PIVOT_EMPTY_TOL = 1e-10
 _DEFAULT_C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
 
 
-@dataclass(frozen=True)
-class PerturbationModel:
-    """Coordinate-wise Gaussian noise of variance rho^2 / n per factor."""
-
-    rho: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise PreconditionError("rho must be positive")
-
-
 def perturb_matrix(base, rho, rng):
-    """One rho-perturbation of a factor matrix: N(0, rho^2/n) per entry."""
+    """One rho-perturbation of a factor matrix (or of one vector): each entry
+    gets independent N(0, rho^2/n) noise, n the number of rows."""
     base = np.asarray(base, dtype=np.float64)
     n = base.shape[0]
     return base + rng.normal(0.0, rho / np.sqrt(n), base.shape)
-
-
-def perturb_factors(d, model):
-    """Rho-perturb every factor coordinate of a decomposition.
-
-    Weights are folded into the mode-0 columns first, so the noise acts on
-    the magnitude-carrying vectors rather than on unit directions; the
-    result is re-canonicalized on construction. Tiny rho returns the input
-    unchanged up to the noise scale.
-    """
-    rng = derive_rng(model.seed, TAG_PERTURB, 0)
-    factors = [np.array(f) for f in d.factors]
-    factors[0] = factors[0] * d.weights[None, :]
-    perturbed = [perturb_matrix(f, model.rho, rng) for f in factors]
-    return CpDecomposition(perturbed, np.ones(d.rank))
 
 
 def rotation_pair_basis(n):
@@ -152,8 +126,8 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
             f"k={k} exceeds n^order={n**order}: sigma_k is identically zero"
         )
     rho = float(rho)
-    if rho <= 0:
-        raise PreconditionError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise PreconditionError(f"rho must be positive and finite, got {rho}")
     if base == "zero":
         bases = [np.zeros((n, k)) for _ in range(order)]
         unperturbed = None
@@ -238,8 +212,10 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         raise PreconditionError("n and trials must be positive")
     rho = float(rho)
     delta = float(delta)
-    if rho <= 0:
-        raise PreconditionError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise PreconditionError(f"rho must be positive and finite, got {rho}")
+    if not np.isfinite(delta):
+        raise PreconditionError(f"delta must be finite, got {delta}")
     ambient = n**order
     dim = int(np.ceil(delta * ambient))
     if dim < 1:
@@ -263,11 +239,9 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     else:
         raise PreconditionError(f"unknown base point {base_point!r}")
 
-    sigma = rho / np.sqrt(n)
-
     def one_trial(trial):
         rng = derive_rng(seed, TAG_LAB, trial + 1)
-        vecs = [base + rng.normal(0.0, sigma, n) for _ in range(order)]
+        vecs = [perturb_matrix(base, rho, rng) for _ in range(order)]
         flat = vecs[0] if order == 1 else np.outer(vecs[0], vecs[1]).ravel()
         return float(np.linalg.norm(basis.T @ flat))
 
@@ -286,18 +260,6 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
             [np.mean(values < c * sqrt_scale) for c in grid]
         ),
     )
-
-
-def fit_scaling_exponent(xs, ys):
-    """Least squares slope of log(y) against log(x): the measured exponent."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.size != ys.size or xs.size < 2:
-        raise PreconditionError("need at least two (x, y) pairs")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise PreconditionError("log-log fit needs positive values")
-    slope, _ = np.polyfit(np.log(xs), np.log(ys), 1)
-    return float(slope)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,15 @@ from .errors import DegeneracyError, PreconditionError
 from .matrix_ops import condition_number
 from .moment_learners import GmmParams, HmmParams, stationary_distribution
 from .seeding import TAG_SYNTH, derive_rng
+from .smoothed_lab import perturb_matrix
 from .tensor_core import CpDecomposition
 
 _MAX_DRAWS = 64
+# Smallest distance, up to sign, between two columns' unit directions.
+_MIN_SEPARATION = 0.1
+# Term weights are uniform in this range; orthogonal instances use _LAMBDA_RANGE.
+_WEIGHT_RANGE = (0.5, 2.0)
+_LAMBDA_RANGE = (1.0, 2.0)
 
 
 def _unit_columns(mat):
@@ -48,15 +54,14 @@ def direction_separation(mat):
     return best
 
 
-def random_decomposition(shape, rank, seed=0, kappa_max=10.0, min_separation=0.1,
-                         weight_range=(0.5, 2.0)):
+def random_decomposition(shape, rank, seed=0, kappa_max=10.0):
     """Random full-rank decomposition with certified conditioning.
 
     Each factor matrix is a random orthonormal frame plus 0.3 times a
     random unit-column matrix, renormalized; draws are rejected until
     every factor has condition number at most ``kappa_max`` and every
-    factor's columns are ``min_separation``-separated as directions.
-    Requires rank <= min(shape).
+    factor's columns are 0.1-separated as directions. Weights are uniform
+    in [0.5, 2]. Requires rank <= min(shape).
     """
     shape = tuple(int(s) for s in shape)
     rank = int(rank)
@@ -74,25 +79,25 @@ def random_decomposition(shape, rank, seed=0, kappa_max=10.0, min_separation=0.1
             bump = _unit_columns(rng.standard_normal((n, rank)))
             factors.append(_unit_columns(base + 0.3 * bump))
         ok = all(condition_number(f) <= kappa_max for f in factors) and all(
-            direction_separation(f) >= min_separation for f in factors
+            direction_separation(f) >= _MIN_SEPARATION for f in factors
         )
         if not ok:
             continue
-        lo, hi = weight_range
-        weights = rng.uniform(lo, hi, rank)
+        weights = rng.uniform(*_WEIGHT_RANGE, rank)
         return CpDecomposition(factors, weights)
     raise DegeneracyError(
-        f"no draw met kappa <= {kappa_max} and separation >= {min_separation}"
+        f"no draw met kappa <= {kappa_max} and separation >= {_MIN_SEPARATION}"
     )
 
 
-def smoothed_decomposition(shape, rank, rho, seed=0, weight_range=(0.5, 2.0)):
+def smoothed_decomposition(shape, rank, rho, seed=0):
     """Random perturbed-factor decomposition in the overcomplete regime.
 
     Base factors are random unit columns; each coordinate then gets
-    independent N(0, rho^2/n) noise and columns are renormalized. No
-    conditioning is enforced: the point of these instances is that the
-    perturbation alone makes the flattened factors well conditioned.
+    independent N(0, rho^2/n) noise and columns are renormalized; weights
+    are uniform in [0.5, 2]. No conditioning is enforced: the point of
+    these instances is that the perturbation alone makes the flattened
+    factors well conditioned.
     """
     shape = tuple(int(s) for s in shape)
     rank = int(rank)
@@ -105,19 +110,17 @@ def smoothed_decomposition(shape, rank, rho, seed=0, weight_range=(0.5, 2.0)):
     factors = []
     for n in shape:
         base = _unit_columns(rng.standard_normal((n, rank)))
-        noised = base + rng.normal(0.0, rho / np.sqrt(n), (n, rank))
-        factors.append(_unit_columns(noised))
-    lo, hi = weight_range
-    weights = rng.uniform(lo, hi, rank)
+        factors.append(_unit_columns(perturb_matrix(base, rho, rng)))
+    weights = rng.uniform(*_WEIGHT_RANGE, rank)
     return CpDecomposition(factors, weights)
 
 
-def random_orthogonal_symmetric(n, k, seed=0, lambda_range=(1.0, 2.0)):
+def random_orthogonal_symmetric(n, k, seed=0):
     """Symmetric order-3 decomposition with orthonormal shared factors.
 
     All three modes share one random orthonormal n x k frame; weights are
-    uniform in ``lambda_range``. Synthesizing gives an orthogonally
-    decomposable symmetric tensor.
+    uniform in [1, 2]. Synthesizing gives an orthogonally decomposable
+    symmetric tensor.
     """
     n, k = int(n), int(k)
     if not 1 <= k <= n:
@@ -125,14 +128,13 @@ def random_orthogonal_symmetric(n, k, seed=0, lambda_range=(1.0, 2.0)):
     rng = derive_rng(seed, TAG_SYNTH, 0)
     basis = _orthonormal(rng, n, k)
     # pre-orient columns to the canonical sign so the constructor's
-    # normalization cannot flip weights out of lambda_range (a flip in all
+    # normalization cannot flip weights out of [1, 2] (a flip in all
     # three modes multiplies the weight by -1)
     for i in range(k):
         nz = np.flatnonzero(basis[:, i])
         if nz.size and basis[nz[0], i] < 0:
             basis[:, i] *= -1.0
-    lo, hi = lambda_range
-    weights = rng.uniform(lo, hi, k)
+    weights = rng.uniform(*_LAMBDA_RANGE, k)
     return CpDecomposition([basis, basis, basis], weights)
 
 
@@ -150,7 +152,7 @@ def gmm_smoothed_params(n, k, rho=0.5, seed=0, scale=1.0):
     n, k = int(n), int(k)
     rng = derive_rng(seed, TAG_SYNTH, 0)
     base = _unit_columns(rng.standard_normal((n, k)))
-    noised = base + rng.normal(0.0, float(rho) / np.sqrt(n), (n, k))
+    noised = perturb_matrix(base, float(rho), rng)
     return GmmParams(means=float(scale) * _unit_columns(noised))
 
 

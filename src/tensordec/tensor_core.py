@@ -67,24 +67,6 @@ class DenseTensor:
                 raise IndexError(f"index {i} out of range for mode {ax} of size {n}")
         return float(self._data[tuple(int(i) for i in indices)])
 
-    def __add__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return DenseTensor(self._data + other._data)
-
-    def __sub__(self, other):
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return DenseTensor(self._data - other._data)
-
-    def __mul__(self, scalar):
-        return DenseTensor(self._data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DenseTensor(-self._data)
-
     def __array__(self, dtype=None):
         return np.asarray(self._data, dtype=dtype)
 
@@ -137,6 +119,8 @@ class CpDecomposition:
             f *= signs
             w *= signs
             f.flags.writeable = False
+        if not np.all(np.isfinite(w)):
+            raise PreconditionError("a term's magnitude overflows float64")
         w.flags.writeable = False
         self._factors = tuple(mats)
         self._weights = w
@@ -215,22 +199,6 @@ def slice_combination(t, a):
             f"combination vector has length {a.shape}, expected ({t.shape[2]},)"
         )
     return np.einsum("ijk,k->ij", t.data, a)
-
-
-def contract_two(t, z):
-    """Contract modes 2 and 3 of an order-3 tensor with the same vector.
-
-    Returns the vector ``u`` with ``u[i] = sum_{j,k} T[i, j, k] z[j] z[k]``.
-    Modes 2 and 3 must both match ``len(z)``.
-    """
-    if t.order != 3:
-        raise PreconditionError("contract_two expects an order-3 tensor")
-    z = np.asarray(z, dtype=np.float64)
-    if t.shape[1] != t.shape[2] or z.shape != (t.shape[1],):
-        raise PreconditionError(
-            f"modes 2 and 3 of shape {t.shape} must both match len(z)={z.shape}"
-        )
-    return np.einsum("ijk,j,k->i", t.data, z, z)
 
 
 def khatri_rao(a, b):
@@ -336,7 +304,7 @@ def read_tnsr(path):
         raise FormatError(f"{path}: missing header line")
     try:
         header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: bad header: {exc}") from exc
     if not isinstance(header, dict) or not _TNSR_MAGIC_KEYS <= set(header):
         raise FormatError(f"{path}: header must carry 'order' and 'shape'")
@@ -382,6 +350,7 @@ def write_decomposition(path, d):
 
 
 def decomposition_from_dict(obj):
+    """CpDecomposition from its JSON dict; a malformed field is a FormatError."""
     try:
         order = obj["order"]
         rank = obj["rank"]
@@ -389,27 +358,29 @@ def decomposition_from_dict(obj):
         factors = obj["factors"]
     except (TypeError, KeyError) as exc:
         raise FormatError(f"decomposition JSON missing field: {exc}") from exc
-    if len(factors) != order or len(weights) != rank:
-        raise FormatError("decomposition JSON fields disagree on order/rank")
     shape = obj.get("shape")
-    if shape is not None and len(shape) != order:
-        raise FormatError("decomposition JSON shape does not match order")
-    mats = []
-    for j, cols in enumerate(factors):
-        if len(cols) != rank:
-            raise FormatError("factor column count does not match rank")
-        if rank == 0:
-            if shape is None:
-                raise FormatError("rank-0 decompositions need an explicit shape")
-            mats.append(np.zeros((int(shape[j]), 0)))
-        else:
-            mats.append(np.array(cols, dtype=np.float64).T)
     try:
+        if len(factors) != order or len(weights) != rank:
+            raise FormatError("decomposition JSON fields disagree on order/rank")
+        if shape is not None and len(shape) != order:
+            raise FormatError("decomposition JSON shape does not match order")
+        mats = []
+        for j, cols in enumerate(factors):
+            if len(cols) != rank:
+                raise FormatError("factor column count does not match rank")
+            if rank == 0:
+                if shape is None:
+                    raise FormatError("rank-0 decompositions need an explicit shape")
+                mats.append(np.zeros((int(shape[j]), 0)))
+            else:
+                mats.append(np.array(cols, dtype=np.float64).T)
         d = CpDecomposition(mats, weights)
-    except PreconditionError as exc:
-        raise FormatError(str(exc)) from exc
-    if shape is not None and list(d.shape) != [int(s) for s in shape]:
-        raise FormatError("factor row counts disagree with the declared shape")
+        if shape is not None and list(d.shape) != [int(s) for s in shape]:
+            raise FormatError("factor row counts disagree with the declared shape")
+    except FormatError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"malformed decomposition JSON: {exc}") from exc
     return d
 
 
@@ -417,6 +388,7 @@ def read_decomposition(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes and bad JSON alike
         raise FormatError(f"{path}: {exc}") from exc
     return decomposition_from_dict(obj)

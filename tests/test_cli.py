@@ -12,6 +12,7 @@ from tensordec import (
     read_decomposition,
     read_tnsr,
     synthesize,
+    write_decomposition,
     write_tnsr,
 )
 from tensordec.cli import build_parser, main
@@ -196,6 +197,30 @@ class TestEval:
             via_decompose["max_error"], rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "found",
+        [
+            b'{"order": 1, "rank": 1, "weights": [1.0], "factors": 5}',
+            b'{"order": 1, "rank": 2, "weights": [1.0, 1.0], '
+            b'"factors": [[[1.0, 0.0], [1.0]]]}',
+            b'{"order": 1, "rank": 0, "weights": [], "factors": [[]], "shape": ["x"]}',
+            b'{"order": 1, "rank": 0, "weights": [], "factors": [[]], "shape": [-1]}',
+            b'{"order": 1, "rank": 1, "weights": ["a"], "factors": [[[1.0]]]}',
+            b'{"order": 1, "rank": \xff}',
+        ],
+        ids=["factors-int", "ragged-columns", "shape-text", "shape-negative",
+             "weights-text", "invalid-utf8"],
+    )
+    def test_malformed_decomposition_exits_2(self, tmp_path, capsys, found):
+        (tmp_path / "found.json").write_bytes(found)
+        truth = CpDecomposition([np.eye(1)], [1.0])
+        write_decomposition(tmp_path / "truth.json", truth)
+        code, out = run(tmp_path, "eval", "--found", str(tmp_path / "found.json"),
+                        "--truth", str(tmp_path / "truth.json"))
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLearn:
     def test_gmm_acceptance_flavor(self, tmp_path):
@@ -259,6 +284,22 @@ class TestLab:
         assert code == 0
         summary = read_json(out / "summary.json")
         assert summary["subspace_dim"] == 8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kr-sigma", "--n", "4", "--k", "4", "--l", "2", "--rho", "inf"],
+            ["kr-sigma", "--n", "4", "--k", "4", "--l", "2", "--rho", "nan"],
+            ["projection", "--n", "4", "--l", "1", "--delta", "0.5", "--rho", "inf"],
+            ["projection", "--n", "4", "--l", "1", "--delta", "nan"],
+        ],
+        ids=["kr-sigma-rho-inf", "kr-sigma-rho-nan", "projection-rho-inf",
+             "projection-delta-nan"],
+    )
+    def test_non_finite_parameters_exit_4(self, tmp_path, argv):
+        code, out = run(tmp_path, "lab", *argv, "--trials", "3")
+        assert code == 4
+        assert not out.exists()
 
     def test_pivot_invariants_pass(self, tmp_path):
         code, out = run(tmp_path, "lab", "pivot", "--n", "32", "--dim", "8",
@@ -338,6 +379,15 @@ class TestParser:
                 "--trials", "2", "--threads", threads)
         assert exc_info.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rank", ["abc", "2.5", "-1"])
+    def test_bad_rank_exits_2(self, tmp_path, capsys, rank):
+        tensor = tmp_path / "t.tnsr"
+        write_tnsr(str(tensor), synthesize(CpDecomposition([np.eye(2)] * 3, [1.0, 1.0])))
+        with pytest.raises(SystemExit) as exc_info:
+            run(tmp_path, "decompose", "--input", str(tensor), "--rank", rank)
+        assert exc_info.value.code == 2
+        assert "--rank" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -1,4 +1,4 @@
-"""Simultaneous diagonalization: recovery, separation, and term matching."""
+"""Simultaneous diagonalization: recovery and term matching."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from tensordec import (
     match_terms,
     outer_product,
     random_decomposition,
-    separation_diagnostic,
     synthesize,
 )
 
@@ -115,41 +114,6 @@ class TestJennrichDecompose:
         d = report.to_dict()
         assert "eigenvalue_min_gap" in d
         assert "unflatten_residuals" not in d  # None fields dropped
-
-
-class TestSeparationDiagnostic:
-    def test_identity_directions_direct_arithmetic(self):
-        w = np.eye(2)
-        diag = separation_diagnostic(w, np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        assert diag.min_ratio_gap == pytest.approx(1.0)
-        assert diag.min_ratio_magnitude == pytest.approx(1.0)
-        assert not diag.near_zero_denominator
-
-    def test_equal_vectors_have_zero_gap(self):
-        w = np.column_stack([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        a = np.array([0.3, 0.7])
-        diag = separation_diagnostic(w, a, a)
-        assert diag.min_ratio_gap == pytest.approx(0.0)
-
-    def test_near_zero_denominator_flagged(self):
-        w = np.eye(2)
-        diag = separation_diagnostic(w, np.ones(2), np.array([1.0, 1e-15]))
-        assert diag.near_zero_denominator
-
-    def test_monte_carlo_gap_rarely_small(self):
-        # Random Gaussian draws separate generic directions: the ratio gap
-        # dips below 1e-6 only on a vanishing fraction of draws.
-        rng = np.random.default_rng(42)
-        w = rng.standard_normal((8, 4))
-        w /= np.linalg.norm(w, axis=0)
-        bad = 0
-        for _ in range(1000):
-            a = rng.normal(0, 1, 8)
-            b = rng.normal(0, 1, 8)
-            diag = separation_diagnostic(w, a, b)
-            if diag.min_ratio_gap <= 1e-6 or diag.near_zero_denominator:
-                bad += 1
-        assert bad <= 10
 
 
 class TestMatchTerms:

@@ -1,4 +1,4 @@
-"""Spectral helpers: SVD, pseudoinverse, eig, conditioning, leave-one-out."""
+"""Spectral helpers: pseudoinverse, eig, conditioning, leave-one-out."""
 
 import numpy as np
 import pytest
@@ -9,33 +9,7 @@ from tensordec import (
     eig_nonsymmetric,
     leave_one_out,
     pseudoinverse,
-    solve_least_squares,
-    svd,
 )
-
-
-class TestSvd:
-    def test_identity(self):
-        res = svd(np.eye(3))
-        assert np.allclose(res.singular_values, [1.0, 1.0, 1.0])
-
-    def test_singular_diagonal(self):
-        res = svd(np.diag([3.0, 0.0]))
-        assert np.allclose(res.singular_values, [3.0, 0.0])
-
-    def test_rank_one_all_ones(self):
-        # Gram matrix of [[1,1],[1,1]] is 2*ones, eigenvalues {4, 0},
-        # so the singular values are {2, 0}.
-        res = svd(np.ones((2, 2)))
-        assert np.allclose(res.singular_values, [2.0, 0.0], atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((4, 3))
-        res = svd(m)
-        assert np.allclose(
-            res.u @ np.diag(res.singular_values) @ res.v.T, m, atol=1e-12
-        )
 
 
 class TestPseudoinverse:
@@ -66,7 +40,7 @@ class TestPseudoinverse:
 
     def test_relative_tolerance_truncates(self):
         m = np.diag([1.0, 1e-14])
-        p = pseudoinverse(m, rank_tol=1e-10)
+        p = pseudoinverse(m)
         assert np.allclose(p, np.diag([1.0, 0.0]))
 
 
@@ -143,20 +117,3 @@ class TestLeaveOneOut:
             assert ell / np.sqrt(3) <= smin + 1e-12
             assert smin <= ell + 1e-12
 
-
-class TestSolveLeastSquares:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(solve_least_squares(np.eye(3), b), b)
-
-    def test_consistent_overdetermined(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((6, 3))
-        x_true = rng.standard_normal(3)
-        x = solve_least_squares(a, a @ x_true)
-        assert np.allclose(x, x_true, atol=1e-10)
-        assert np.linalg.norm(a @ x - a @ x_true) == pytest.approx(0.0, abs=1e-10)
-
-    def test_zero_matrix_minimum_norm(self):
-        x = solve_least_squares(np.zeros((3, 2)), np.ones(3))
-        assert np.array_equal(x, np.zeros(2))

@@ -98,9 +98,7 @@ class TestGmmStatistics:
             + np.einsum("b,ac->abc", mu, eye)
             + np.einsum("c,ab->abc", mu, eye)
         )
-        assert np.allclose(est.tensor.data, expected, atol=1e-12)
-        assert est.sample_count == 50
-        assert est.moments_used == ("mom1", "mom3")
+        assert np.allclose(est.data, expected, atol=1e-12)
 
     def test_zero_mean_statistic_vanishes(self):
         n, big_n = 4, 100_000
@@ -110,7 +108,7 @@ class TestGmmStatistics:
         # entry (a,b,c) averages x_a x_b x_c with variance at most
         # E[x^6] = 15; the mean correction adds O(1/sqrt(N)) more
         band = 5.0 * (np.sqrt(15.0) + 3.0) / np.sqrt(big_n)
-        assert np.max(np.abs(est.tensor.data)) < band
+        assert np.max(np.abs(est.data)) < band
 
     def test_unbiased_against_exact_statistic(self):
         # entrywise 5 sigma bands computed from the sample itself
@@ -132,7 +130,7 @@ class TestGmmStatistics:
             + np.einsum("b,ac->abc", std1, eye)
             + np.einsum("c,ab->abc", std1, eye)
         )
-        assert np.all(np.abs(est.tensor.data - exact.data) < band)
+        assert np.all(np.abs(est.data - exact.data) < band)
 
     def test_exact_statistic_small_cases(self):
         e1 = np.eye(3)[:, :1]
@@ -357,7 +355,7 @@ class TestHmmMoments:
         est = hmm_moment_tensor(windows, context=1)
         mu = params.observation_means[:, 0]
         assert np.allclose(
-            est.tensor.data, np.einsum("a,b,c->abc", mu, mu, mu), atol=1e-12
+            est.data, np.einsum("a,b,c->abc", mu, mu, mu), atol=1e-12
         )
 
     def test_exact_tensor_matches_hidden_path_enumeration(self):
@@ -381,8 +379,7 @@ class TestHmmMoments:
         windows = hmm_sample(params, 100_000, window=3, seed=30)
         emp = hmm_moment_tensor(windows, context=1)
         exact = hmm_exact_moments(params, context=1)
-        assert emp.sample_count == 100_000
-        diff = np.linalg.norm(emp.tensor.data - exact.tensor.data)
+        diff = np.linalg.norm(emp.data - exact.tensor.data)
         assert diff < 0.25
 
     @pytest.mark.parametrize("context", [1, 2])
@@ -398,7 +395,7 @@ class TestHmmMoments:
         assert_rel_close(got.center_mean, center.mean(axis=0), 1e-13)
         assert_rel_close(got.center_future, center.T @ right / n_rows, 1e-13)
         assert_rel_close(got.center_second, center.T @ center / n_rows, 1e-13)
-        tensor = hmm_moment_tensor(windows, context).tensor.data
+        tensor = hmm_moment_tensor(windows, context).data
         assert np.array_equal(got.tensor.data, tensor)
 
     def test_window_length_must_match_context(self):
@@ -411,7 +408,7 @@ class TestHmmMoments:
         params = hmm_random_params(3, 2, seed=33)
         windows = hmm_sample(params, 100, window=5, seed=34)
         est = hmm_moment_tensor(windows, context=2)
-        assert est.tensor.shape == (9, 3, 9)
+        assert est.shape == (9, 3, 9)
 
 
 class TestHmmLearn:

@@ -1,4 +1,4 @@
-"""Symmetric power iteration, deflation, and whitening."""
+"""Symmetric power iteration with deflation, and whitening."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from tensordec import (
     frobenius_norm,
     jennrich_decompose,
     match_terms,
-    power_iterate,
     random_orthogonal_symmetric,
     synthesize,
     whiten,
@@ -53,45 +52,24 @@ class TestOrthogonalDecomposition:
             OrthogonalDecomposition(np.array([1.0, 2.0]), np.eye(3)[:, :1])
 
 
-class TestPowerIterate:
-    def test_single_spike_converges_immediately(self):
-        # T = 3 e1^(x3): the contraction map sends any z with z_1 != 0 to
-        # e1 in one step, so convergence needs at most two iterations.
-        t = synthesize(CpDecomposition([np.eye(4)[:, :1]] * 3, [3.0]))
-        z, lam, iterations = power_iterate(t)
-        assert iterations <= 2
-        assert lam == pytest.approx(3.0, abs=1e-12)
-        assert np.allclose(np.abs(z), np.eye(4)[:, 0], atol=1e-12)
-
-    def test_two_basins_both_reachable(self):
-        # equal weights: each fixed point attracts starts nearer to it,
-        # and over 100 seeds both must be hit.
-        t = synthesize(CpDecomposition([np.eye(2)] * 3, [1.0, 1.0]))
-        hits = set()
-        for seed in range(100):
-            z, lam, _ = power_iterate(t, seed=seed)
-            assert lam == pytest.approx(1.0, abs=1e-10)
-            hits.add(int(np.argmax(np.abs(z))))
-        assert hits == {0, 1}
-
-    def test_zero_tensor_restarts_then_raises(self):
+class TestDeflateDecompose:
+    def test_zero_tensor_raises(self):
+        # every start collapses to a zero contraction, so no run converges
         t = DenseTensor(np.zeros((3, 3, 3)))
         with pytest.raises(DegeneracyError) as exc_info:
-            power_iterate(t)
-        assert exc_info.value.diagnostics["restarts"] > 10
+            deflate_decompose(t, 1)
+        assert exc_info.value.diagnostics == {"round": 0, "restarts": 10}
 
     def test_rejects_asymmetric(self):
         arr = np.zeros((3, 3, 3))
         arr[0, 1, 2] = 1.0
         with pytest.raises(PreconditionError):
-            power_iterate(DenseTensor(arr))
+            deflate_decompose(DenseTensor(arr), 1)
 
     def test_rejects_noncubic(self):
         with pytest.raises(PreconditionError):
-            power_iterate(DenseTensor(np.zeros((2, 3, 2))))
+            deflate_decompose(DenseTensor(np.zeros((2, 3, 2))), 1)
 
-
-class TestDeflateDecompose:
     def test_graded_spectrum_recovered_in_order(self):
         n = 4
         weights = [4.0, 3.0, 2.0, 1.0]

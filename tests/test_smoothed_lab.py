@@ -1,4 +1,4 @@
-"""Perturbation model, random-matrix experiments, pivot constructions."""
+"""Perturbation helper, random-matrix experiments, pivot constructions."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -7,30 +7,18 @@ import pytest
 import scipy.stats
 
 from tensordec import (
-    PerturbationModel,
     PivotBasis,
     PreconditionError,
     build_pivot_basis,
     build_pivot_basis_l2,
-    fit_scaling_exponent,
     kr_sigma_experiment,
-    perturb_factors,
     perturb_matrix,
     projection_experiment,
     rotation_pair_basis,
-    smoothed_decomposition,
-    synthesize,
 )
 
 
 class TestPerturbation:
-    def test_tiny_rho_is_identity_to_tolerance(self):
-        base = smoothed_decomposition((4, 4, 4), 3, rho=0.5, seed=0)
-        out = perturb_factors(base, PerturbationModel(rho=1e-12, seed=1))
-        before = synthesize(base)
-        after = synthesize(out)
-        assert np.max(np.abs(after.data - before.data)) < 1e-10
-
     def test_noise_variance_matches_model(self):
         # sample variance of N draws of N(0, rho^2/n): 4 sigma band via
         # var(s^2) = 2 sigma^4 / (N - 1)
@@ -49,18 +37,6 @@ class TestPerturbation:
         b = perturb_matrix(np.zeros((n, n)), 1.0, np.random.default_rng(4)).ravel()
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.05
-
-    def test_same_model_same_perturbation(self):
-        base = smoothed_decomposition((3, 3, 3), 2, rho=0.5, seed=5)
-        model = PerturbationModel(rho=0.1, seed=6)
-        one = perturb_factors(base, model)
-        two = perturb_factors(base, model)
-        for f, g in zip(one.factors, two.factors):
-            assert np.array_equal(f, g)
-
-    def test_rho_must_be_positive(self):
-        with pytest.raises(PreconditionError):
-            PerturbationModel(rho=0.0)
 
 
 class TestRotationPairBasis:
@@ -122,6 +98,11 @@ class TestKrSigmaExperiment:
     def test_rank_beyond_ambient_rejected(self):
         with pytest.raises(PreconditionError):
             kr_sigma_experiment(3, 10, order=2, rho=1.0, trials=5)
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, np.nan])
+    def test_rho_must_be_positive_and_finite(self, rho):
+        with pytest.raises(PreconditionError):
+            kr_sigma_experiment(4, 4, order=2, rho=rho, trials=5)
 
     def test_summary_contents(self):
         result = kr_sigma_experiment(4, 4, order=2, rho=0.5, trials=50, seed=11)
@@ -187,23 +168,17 @@ class TestProjectionExperiment:
             projection_experiment(8, 1, delta=0.5, rho=1.0, trials=5,
                                   subspace="sparse")
 
+    @pytest.mark.parametrize("rho, delta", [(np.inf, 0.5), (np.nan, 0.5),
+                                            (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_rho_or_delta_rejected(self, rho, delta):
+        with pytest.raises(PreconditionError):
+            projection_experiment(8, 1, delta=delta, rho=rho, trials=5)
+
     def test_summary_scales(self):
         result = projection_experiment(4, 2, delta=0.5, rho=2.0, trials=20, seed=17)
         s = result.summary()
         assert s["dim_scale"] == pytest.approx(4.0 / 16.0)
         assert s["sqrt_scale"] == pytest.approx(4.0 / 4.0)
-
-
-class TestFitScalingExponent:
-    def test_exact_power_law(self):
-        xs = np.array([1.0, 2.0, 4.0, 8.0])
-        assert fit_scaling_exponent(xs, xs**2.5) == pytest.approx(2.5, abs=1e-12)
-
-    def test_needs_positive_data(self):
-        with pytest.raises(PreconditionError):
-            fit_scaling_exponent([1.0, 2.0], [1.0, -1.0])
-        with pytest.raises(PreconditionError):
-            fit_scaling_exponent([1.0], [1.0])
 
 
 class TestBuildPivotBasis:
