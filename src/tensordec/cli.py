@@ -354,8 +354,8 @@ def _rank(text):
 
 def _nonnegative_float(text):
     value = float(text)
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if not 0.0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be nonnegative and finite, got {value}")
     return value
 
 
@@ -431,7 +431,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--window", type=int, default=3)
-    p.add_argument("--noise", type=float, default=0.0,
+    p.add_argument("--noise", type=_nonnegative_float, default=0.0,
                    help="observation noise scale")
     p.add_argument("--dump-samples", action="store_true")
     _add_common(p, threads=True)

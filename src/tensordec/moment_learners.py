@@ -35,14 +35,17 @@ from .jennrich import (
 )
 from .matrix_ops import pseudoinverse
 from .overcomplete import overcomplete_decompose
-from .power_method import PowerConfig, deflate_decompose, whiten
-from .seeding import TAG_SAMPLER, derive_rng
+from .power_method import PowerConfig, _whitening_maps, deflate_decompose, whiten
+from .seeding import TAG_SAMPLER, derive_rng, fill_blocks
 from .tensor_core import CpDecomposition, DenseTensor, khatri_rao
 
 _MOMENT_BLOCK = 100_000
 # Rows per GEMM in _third_moment: bounds its temporary (8 MiB at n = 16) and
 # fixes the summation order. Kept apart from _MOMENT_BLOCK, which fixes the samples.
 _PRODUCT_BLOCK = 4096
+# ALS polish: sweep cap, and the relative change of a sweep that stops it.
+_POLISH_SWEEPS = 10
+_POLISH_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +129,8 @@ class HmmParams:
             raise PreconditionError("stationary vector is not stationary for P")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(o)) and np.all(np.isfinite(w))):
             raise PreconditionError("parameters must be finite")
-        if self.noise_scale < 0:
-            raise PreconditionError("noise_scale must be nonnegative")
+        if not 0 <= self.noise_scale < np.inf:
+            raise PreconditionError("noise_scale must be nonnegative and finite")
         object.__setattr__(self, "transition", p)
         object.__setattr__(self, "observation_means", o)
         object.__setattr__(self, "stationary", w)
@@ -160,36 +163,25 @@ class HmmParams:
 # ---------------------------------------------------------------------------
 # Gaussian mixtures.
 
-def _stacked_blocks(mapper, one_block, shape):
-    """``one_block`` over the fixed-size sample blocks, stacked in block order
-    into one array; each block is dropped once copied, not kept to the end."""
-    out = np.empty(shape)
-    specs = [(b, s, min(_MOMENT_BLOCK, shape[0] - s))
-             for b, s in enumerate(range(0, shape[0], _MOMENT_BLOCK))]
-    for (_, start, count), block in zip(specs, mapper(one_block, specs)):
-        out[start : start + count] = block
-    return out
-
-
 def gmm_sample(params, n_samples, seed=0, mapper=map):
     """Draw ``n_samples`` points, rows of an (N, n) array.
 
     Samples are generated in fixed-size blocks, each from its own derived
-    stream, so ``mapper`` may run blocks on a thread pool without changing
-    a single byte of the output.
+    stream and written in place into its rows of the output, so ``mapper``
+    may run blocks on a thread pool without changing a single byte of it.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
 
-    def one_block(spec):
-        block, _, count = spec
+    def fill(block, rows):
         rng = derive_rng(seed, TAG_SAMPLER, block)
-        labels = rng.integers(params.k, size=count)
-        noise = rng.standard_normal((count, params.dimension))
-        return params.means.T[labels] + noise
+        labels = rng.integers(params.k, size=len(rows))
+        rng.standard_normal(out=rows)
+        rows += np.take(params.means.T, labels, axis=0)
 
-    return _stacked_blocks(mapper, one_block, (n_samples, params.dimension))
+    out = np.empty((n_samples, params.dimension))
+    return fill_blocks(out, _MOMENT_BLOCK, fill, mapper)
 
 
 def _third_moment(a, b, c):
@@ -205,6 +197,18 @@ def _third_moment(a, b, c):
     return acc.reshape(a.shape[1], b.shape[1], c.shape[1]) / n_rows
 
 
+def _corrected_t3(x, noise_cov):
+    """Third moment of the rows of ``x`` less the symmetrized
+    ``mean (x) noise_cov`` that zero-mean noise of that covariance adds."""
+    m1 = x.mean(axis=0)
+    correction = (
+        np.einsum("a,bc->abc", m1, noise_cov)
+        + np.einsum("b,ac->abc", m1, noise_cov)
+        + np.einsum("c,ab->abc", m1, noise_cov)
+    )
+    return DenseTensor(_third_moment(x, x, x) - correction)
+
+
 def gmm_statistic_t3(samples):
     """Unbiased estimate of ``(1/k) sum_i mu_i^(x3)`` from raw samples.
 
@@ -214,16 +218,7 @@ def gmm_statistic_t3(samples):
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise PreconditionError("samples must be a nonempty (N, n) array")
-    n = samples.shape[1]
-    mom3 = _third_moment(samples, samples, samples)
-    mom1 = samples.mean(axis=0)
-    eye = np.eye(n)
-    correction = (
-        np.einsum("a,bc->abc", mom1, eye)
-        + np.einsum("b,ac->abc", mom1, eye)
-        + np.einsum("c,ab->abc", mom1, eye)
-    )
-    return DenseTensor(mom3 - correction)
+    return _corrected_t3(samples, np.eye(samples.shape[1]))
 
 
 def gmm_second_moment(samples):
@@ -285,6 +280,17 @@ def match_columns(found, truth):
     return [int(j) for j in perm], errors
 
 
+def _power_means(whitened, back, k, seed):
+    """Means from a whitened (k, k, k) moment, mapped back through ``back``."""
+    od, residual = deflate_decompose(whitened, k, PowerConfig(seed=seed))
+    return GmmLearnResult(
+        means=(back @ od.vectors) * od.lambdas[None, :],
+        weights=np.full(k, 1.0 / k),
+        decomposition=od,
+        report=RecoveryReport(deflation_residual=residual),
+    )
+
+
 def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
                            seed=0, plan=None):
     """Recover mixture means from a moment tensor of odd order.
@@ -307,22 +313,17 @@ def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
         if second_moment is None:
             raise PreconditionError("the power path needs the order-2 moment")
         wres = whiten(t, second_moment, k)
-        od, residual = deflate_decompose(wres.tensor, k, PowerConfig(seed=seed))
-        means = (wres.back_map @ od.vectors) * od.lambdas[None, :]
-        report = RecoveryReport(deflation_residual=residual)
-        decomposition = od
-    elif method == "jennrich":
-        cfg = JennrichConfig(rank=k, seed=seed)
-        if order == 3:
-            decomposition, report = jennrich_decompose(t, cfg)
-        else:
-            decomposition, report = overcomplete_decompose(t, plan=plan, config=cfg)
-        scale = _component_scale(order, k, decomposition.weights)
-        means = decomposition.factors[0] * scale[None, :]
-    else:
+        return _power_means(wres.tensor, wres.back_map, k, seed)
+    if method != "jennrich":
         raise PreconditionError(f"unknown method {method!r}")
+    cfg = JennrichConfig(rank=k, seed=seed)
+    if order == 3:
+        decomposition, report = jennrich_decompose(t, cfg)
+    else:
+        decomposition, report = overcomplete_decompose(t, plan=plan, config=cfg)
+    scale = _component_scale(order, k, decomposition.weights)
     return GmmLearnResult(
-        means=means,
+        means=decomposition.factors[0] * scale[None, :],
         weights=np.full(k, 1.0 / k),
         decomposition=decomposition,
         report=report,
@@ -338,6 +339,12 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
     direct path. ``truth`` (a GmmParams or an (n, k) means matrix) triggers
     matched per-component error reporting. A single component skips the
     tensor machinery: the sample mean is already the moment estimator.
+
+    The power path whitens first: with W from the second moment's top-k
+    eigenspace, the (k, k, k) third moment of ``y = x W`` less the noise
+    correction ``sym(mean(y) (x) W^T W)`` goes to the power method, so the
+    dense n^3 moment is never built. This is the map ``whiten`` applies to
+    ``gmm_statistic_t3(x)``; the two routes differ only by rounding.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -349,11 +356,13 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
         result = GmmLearnResult(
             means=samples.mean(axis=0)[:, None], weights=np.ones(1)
         )
+    elif method == "power":
+        forward, back = _whitening_maps(gmm_second_moment(samples), samples.shape[1], k)
+        t3 = _corrected_t3(samples @ forward, forward.T @ forward)
+        result = _power_means(t3, back, k, seed)
     else:
-        t3 = gmm_statistic_t3(samples)
-        second = gmm_second_moment(samples) if method == "power" else None
         result = gmm_learn_from_moments(
-            t3, k, order=3, method=method, second_moment=second, seed=seed
+            gmm_statistic_t3(samples), k, order=3, method=method, seed=seed
         )
     if truth is not None:
         true_means = truth.means if isinstance(truth, GmmParams) else np.asarray(truth)
@@ -384,8 +393,8 @@ def hmm_sample(params, n_windows, window=3, seed=0, mapper=map):
     cum_w = np.cumsum(params.stationary)
     cum_p = np.cumsum(params.transition, axis=0)
 
-    def one_block(spec):
-        block, _, count = spec
+    def fill(block, rows):
+        count = len(rows)
         rng = derive_rng(seed, TAG_SAMPLER, block)
         states = np.empty((count, window), dtype=np.int64)
         states[:, 0] = np.minimum(
@@ -395,12 +404,15 @@ def hmm_sample(params, n_windows, window=3, seed=0, mapper=map):
             u = rng.random(count)
             cums = cum_p[:, states[:, t - 1]]
             states[:, t] = np.minimum((u[None, :] >= cums).sum(axis=0), k - 1)
-        x = params.observation_means.T[states]
         if params.noise_scale > 0:
-            x = x + params.noise_scale * rng.standard_normal(x.shape)
-        return x
+            rng.standard_normal(out=rows)
+            rows *= params.noise_scale
+            rows += np.take(params.observation_means.T, states, axis=0)
+        else:
+            np.take(params.observation_means.T, states, axis=0, out=rows)
 
-    return _stacked_blocks(mapper, one_block, (n_windows, window, params.dimension))
+    out = np.empty((n_windows, window, params.dimension))
+    return fill_blocks(out, _MOMENT_BLOCK, fill, mapper)
 
 
 def _block_kron(windows, time_indices):
@@ -525,7 +537,7 @@ def _to_simplex(v, what):
     return v / total
 
 
-def _als_polish(t, decomposition, sweeps=10, tol=1e-12):
+def _als_polish(t, decomposition):
     """Refit the factors of an order-3 decomposition by alternating least
     squares on ``t``, starting from ``decomposition``.
 
@@ -544,12 +556,12 @@ def _als_polish(t, decomposition, sweeps=10, tol=1e-12):
     )
     a, b, c = (f.copy() for f in decomposition.factors)
     a = a * decomposition.weights[None, :]
-    for _ in range(sweeps):
+    for _ in range(_POLISH_SWEEPS):
         previous = a
         a = unfold[0] @ khatri_rao(b, c) @ pseudoinverse((b.T @ b) * (c.T @ c))
         b = unfold[1] @ khatri_rao(a, c) @ pseudoinverse((a.T @ a) * (c.T @ c))
         c = unfold[2] @ khatri_rao(a, b) @ pseudoinverse((a.T @ a) * (b.T @ b))
-        if np.linalg.norm(a - previous) <= tol * np.linalg.norm(a):
+        if np.linalg.norm(a - previous) <= _POLISH_TOL * np.linalg.norm(a):
             break
     return CpDecomposition([a, b, c], np.ones(a.shape[1]))
 

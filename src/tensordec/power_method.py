@@ -88,7 +88,7 @@ class OrthogonalDecomposition:
             raise PreconditionError(f"columns not orthogonal: max inner {cross:.3e}")
 
 
-def _require_symmetric(t, rtol=_SYMMETRY_RTOL):
+def _require_symmetric(t):
     if t.order != 3:
         raise PreconditionError("expected an order-3 tensor")
     n = t.shape[0]
@@ -100,7 +100,7 @@ def _require_symmetric(t, rtol=_SYMMETRY_RTOL):
         sym += np.transpose(arr, axes)
     sym /= 6.0
     scale = np.linalg.norm(arr.ravel())
-    if np.linalg.norm((arr - sym).ravel()) > rtol * max(scale, 1e-300):
+    if np.linalg.norm((arr - sym).ravel()) > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise PreconditionError("tensor is not symmetric within tolerance")
     return arr
 
@@ -179,31 +179,17 @@ def deflate_decompose(t, k, config=None):
 @dataclass(frozen=True)
 class WhiteningResult:
     """tensor: the whitened (k, k, k) tensor; back_map: (n, k) matrix B with
-    original components ``lam_i * B @ v_i``; forward_map: the (n, k)
-    whitening matrix applied to every mode; spectrum: the k eigenvalues of
-    the order-2 moment that were inverted."""
+    original components ``lam_i * B @ v_i``."""
 
     tensor: DenseTensor
     back_map: np.ndarray
-    forward_map: np.ndarray
-    spectrum: np.ndarray
 
 
-def whiten(t, m, k):
-    """Orthogonalize a symmetric tensor against its order-2 moment.
-
-    ``m`` must be symmetric with numerical rank at least ``k`` (eigenvalue
-    k must exceed 1e-8 times the largest); its top-k eigenspace defines
-    ``W = V_k diag(eig)^(-1/2)``, and every mode of ``t`` is contracted
-    with ``W``. For ``t = sum_i w_i u_i^(x3)`` and ``m = sum_i w_i
-    u_i^(x2)`` the result is orthogonally decomposable with lambdas
-    ``w_i^(-1/2)``, and ``back_map`` returns scaled components to the
-    original space: ``u_i = lam_i * back_map @ v_i``.
-    """
-    arr = _require_symmetric(t)
+def _whitening_maps(m, n, k):
+    """``(W, B)`` from the checked top-k eigenpairs of an (n, n) order-2
+    moment: ``W = V_k diag(eig)^(-1/2)`` whitens, ``B = V_k diag(eig)^(1/2)``
+    maps back."""
     m = np.asarray(m, dtype=np.float64)
-    n = arr.shape[0]
-    k = int(k)
     if m.shape != (n, n):
         raise PreconditionError(f"order-2 moment must be {n}x{n}, got {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -221,14 +207,22 @@ def whiten(t, m, k):
             f"order-2 moment has numerical rank below k={k}: "
             f"eigenvalue {k} is {eigvals[k - 1]:.3e} vs top {eigvals[0]:.3e}"
         )
-    top = eigvals[:k]
-    basis = eigvecs[:, :k]
-    forward = basis / np.sqrt(top)
-    back = basis * np.sqrt(top)
+    root = np.sqrt(eigvals[:k])
+    return eigvecs[:, :k] / root, eigvecs[:, :k] * root
+
+
+def whiten(t, m, k):
+    """Orthogonalize a symmetric tensor against its order-2 moment.
+
+    ``m`` must be symmetric with numerical rank at least ``k`` (eigenvalue
+    k must exceed 1e-8 times the largest); its top-k eigenspace defines
+    ``W = V_k diag(eig)^(-1/2)``, and every mode of ``t`` is contracted
+    with ``W``. For ``t = sum_i w_i u_i^(x3)`` and ``m = sum_i w_i
+    u_i^(x2)`` the result is orthogonally decomposable with lambdas
+    ``w_i^(-1/2)``, and ``back_map`` returns scaled components to the
+    original space: ``u_i = lam_i * back_map @ v_i``.
+    """
+    arr = _require_symmetric(t)
+    forward, back = _whitening_maps(m, arr.shape[0], int(k))
     whitened = np.einsum("abc,ai,bj,ck->ijk", arr, forward, forward, forward)
-    return WhiteningResult(
-        tensor=DenseTensor(whitened),
-        back_map=back,
-        forward_map=forward,
-        spectrum=top.copy(),
-    )
+    return WhiteningResult(tensor=DenseTensor(whitened), back_map=back)

@@ -14,7 +14,7 @@ pipeline relies on:
   round and zeroes it out before recursing.
 
 Experiments draw one stream per trial from counter-derived seeds, so a
-thread pool over trials cannot change any number.
+thread pool over blocks of trials cannot change any number.
 """
 
 from dataclasses import dataclass, field
@@ -23,10 +23,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegeneracyError, PreconditionError
-from .seeding import TAG_LAB, derive_rng
+from .seeding import TAG_LAB, derive_rng, fill_blocks
 from .tensor_core import khatri_rao
 
 _PIVOT_EMPTY_TOL = 1e-10
+# Trials per pool task: one trial (about 0.1 ms) costs less than a hand-off.
+_TRIAL_BLOCK = 64
+# Largest Khatri-Rao chain, n^order * k entries, one trial may build (32 MiB).
+_KR_ELEMENT_BUDGET = 2**22
 _DEFAULT_C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
 
 
@@ -68,6 +72,16 @@ def _kr_chain(mats):
 
 def _sigma_k(matrix, k):
     return float(np.linalg.svd(matrix, compute_uv=False)[k - 1])
+
+
+def _trial_values(one_trial, trials, seed, mapper):
+    """``one_trial(rng)`` for each trial t < trials on derived stream t + 1
+    (stream 0 is the set-up's), given to ``mapper`` in blocks of _TRIAL_BLOCK."""
+    def fill(block, rows):
+        first = block * _TRIAL_BLOCK + 1
+        rows[:] = [one_trial(derive_rng(seed, TAG_LAB, first + i)) for i in range(len(rows))]
+
+    return fill_blocks(np.empty(trials), _TRIAL_BLOCK, fill, mapper)
 
 
 @dataclass
@@ -115,8 +129,9 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     unperturbed product has sigma_k exactly 0, and its value is reported
     alongside the perturbed samples. The fraction of trials below
     c * rho^order / n^order is reported over a log-spaced grid of c.
-    Trials draw from per-trial derived streams, so ``mapper`` may be the
-    order-preserving map of a thread pool.
+    Trials draw from per-trial derived streams and go to ``mapper`` in
+    fixed blocks, so it may be the map of a thread pool. A chain of more
+    than 2^22 entries (n^order * k) is rejected.
     """
     n, k, order, trials = int(n), int(k), int(order), int(trials)
     if n < 1 or k < 1 or order < 1 or trials < 1:
@@ -124,6 +139,11 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     if k > n**order:
         raise PreconditionError(
             f"k={k} exceeds n^order={n**order}: sigma_k is identically zero"
+        )
+    if n**order * k > _KR_ELEMENT_BUDGET:
+        raise PreconditionError(
+            f"the Khatri-Rao chain would hold n^order * k = {n**order * k} "
+            f"entries, above the budget of {_KR_ELEMENT_BUDGET}"
         )
     rho = float(rho)
     if not 0 < rho < np.inf:
@@ -142,12 +162,11 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     else:
         raise PreconditionError(f"unknown base {base!r}")
 
-    def one_trial(trial):
-        rng = derive_rng(seed, TAG_LAB, trial + 1)
+    def one_trial(rng):
         mats = [perturb_matrix(b, rho, rng) for b in bases]
         return _sigma_k(_kr_chain(mats), k)
 
-    values = np.fromiter(mapper(one_trial, range(trials)), np.float64, trials)
+    values = _trial_values(one_trial, trials, seed, mapper)
 
     delta = 1.0 - k / n**order
     scale = rho**order / n**order
@@ -239,13 +258,12 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     else:
         raise PreconditionError(f"unknown base point {base_point!r}")
 
-    def one_trial(trial):
-        rng = derive_rng(seed, TAG_LAB, trial + 1)
+    def one_trial(rng):
         vecs = [perturb_matrix(base, rho, rng) for _ in range(order)]
         flat = vecs[0] if order == 1 else np.outer(vecs[0], vecs[1]).ravel()
         return float(np.linalg.norm(basis.T @ flat))
 
-    values = np.fromiter(mapper(one_trial, range(trials)), np.float64, trials)
+    values = _trial_values(one_trial, trials, seed, mapper)
 
     grid = np.asarray(_DEFAULT_C_GRID)
     dim_scale = rho**order / n**order

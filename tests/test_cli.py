@@ -15,6 +15,7 @@ from tensordec import (
     write_decomposition,
     write_tnsr,
 )
+from tensordec import smoothed_lab
 from tensordec.cli import build_parser, main
 
 
@@ -69,6 +70,14 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc_info:
             run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "2",
                 "--noise", "-1")
+        assert exc_info.value.code == 2
+        assert "--noise" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_infinite_noise_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "2",
+                "--noise", "inf")
         assert exc_info.value.code == 2
         assert "--noise" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
@@ -257,6 +266,14 @@ class TestLearn:
         cols = np.array(payload["estimated_transition"]).T
         assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-9)
 
+    def test_hmm_nan_noise_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(tmp_path, "learn", "hmm", "--k", "2", "--n", "3",
+                "--samples", "1000", "--noise", "nan")
+        assert exc_info.value.code == 2
+        assert "--noise" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestLab:
     def test_kr_sigma_csv_shape(self, tmp_path):
@@ -298,6 +315,13 @@ class TestLab:
     )
     def test_non_finite_parameters_exit_4(self, tmp_path, argv):
         code, out = run(tmp_path, "lab", *argv, "--trials", "3")
+        assert code == 4
+        assert not out.exists()
+
+    def test_kr_chain_over_budget_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)
+        code, out = run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "5",
+                        "--l", "3", "--trials", "3")
         assert code == 4
         assert not out.exists()
 

@@ -26,6 +26,7 @@ from tensordec import (
     match_columns,
     stationary_distribution,
 )
+from tensordec import moment_learners
 from tensordec.moment_learners import _PRODUCT_BLOCK, _third_moment
 
 
@@ -69,16 +70,16 @@ class TestGmmSample:
                                   seed=5, mapper=mapper),
     ], ids=["gmm", "hmm"])
     def test_blocks_stacked_in_order(self, sampler):
-        blocks = []
+        # each block lands in its own rows whatever order the mapper runs them
+        counts = []
 
-        def recording(f, specs):
-            for spec in specs:
-                blocks.append(f(spec))
-                yield blocks[-1]
+        def reversed_order(f, specs):
+            specs = list(specs)
+            counts.append(len(specs))
+            return [f(spec) for spec in reversed(specs)][::-1]
 
-        got = sampler(recording)
-        assert len(blocks) == 3
-        assert np.array_equal(got, np.concatenate(blocks))
+        assert np.array_equal(sampler(reversed_order), sampler(map))
+        assert counts == [3]
 
     def test_sample_count_validated(self):
         with pytest.raises(PreconditionError):
@@ -238,6 +239,29 @@ class TestGmmLearn:
         assert avg[1] <= avg[0] * 1.1
         assert avg[2] <= avg[1] * 1.1
 
+    @pytest.mark.parametrize("n, k, n_samples, seed", [(8, 3, 200_000, 1),
+                                                      (16, 4, 100_000, 2)])
+    def test_whiten_first_matches_dense_moment_route(self, n, k, n_samples, seed):
+        params = gmm_orthogonal_params(n, k, norm=5.0, seed=seed)
+        samples = gmm_sample(params, n_samples, seed=seed)
+        dense = gmm_learn_from_moments(
+            gmm_statistic_t3(samples), k, method="power",
+            second_moment=gmm_second_moment(samples), seed=seed,
+        )
+        got = gmm_learn(samples, k, seed=seed)
+        assert np.max(np.abs(got.means - dense.means)) <= 1e-12
+
+    def test_power_path_never_builds_the_dense_moment(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense third moment built")
+
+        monkeypatch.setattr(moment_learners, "gmm_statistic_t3", refuse)
+        monkeypatch.setattr(moment_learners, "whiten", refuse)
+        params = gmm_orthogonal_params(6, 2, norm=4.0, seed=21)
+        samples = gmm_sample(params, 20_000, seed=22)
+        result = gmm_learn(samples, 2, method="power", truth=params)
+        assert result.max_mean_error < 0.25
+
     def test_power_method_is_default(self):
         params = gmm_orthogonal_params(6, 2, norm=4.0, seed=17)
         samples = gmm_sample(params, 50_000, seed=18)
@@ -286,6 +310,10 @@ class TestHmmParams:
                 observation_means=np.eye(2),
                 stationary=np.array([0.9, 0.1]),  # not stationary for P
             )
+        for noise in (-0.1, np.nan, np.inf):
+            with pytest.raises(PreconditionError):
+                HmmParams.from_transition(np.array([[0.7, 0.3], [0.3, 0.7]]),
+                                          np.eye(2), noise_scale=noise)
 
     def test_reversed_transition_is_column_stochastic(self):
         params = hmm_random_params(4, 3, seed=21)

@@ -11,11 +11,15 @@ from tensordec import (
     PreconditionError,
     build_pivot_basis,
     build_pivot_basis_l2,
+    derive_rng,
+    khatri_rao,
     kr_sigma_experiment,
     perturb_matrix,
     projection_experiment,
     rotation_pair_basis,
 )
+from tensordec import smoothed_lab
+from tensordec.seeding import TAG_LAB
 
 
 class TestPerturbation:
@@ -121,6 +125,41 @@ class TestKrSigmaExperiment:
             )
         serial = kr_sigma_experiment(4, 8, order=2, rho=1.0, trials=64, seed=12)
         assert np.array_equal(threaded.values, serial.values)
+
+    def test_trial_t_draws_from_stream_t_plus_one(self):
+        # trials on both sides of a block edge match a direct recomputation
+        values = kr_sigma_experiment(4, 8, order=2, rho=1.0, trials=77, seed=12).values
+        for trial in (0, 63, 64, 76):
+            rng = derive_rng(12, TAG_LAB, trial + 1)
+            mats = [perturb_matrix(np.zeros((4, 8)), 1.0, rng) for _ in range(2)]
+            assert values[trial] == np.linalg.svd(khatri_rao(*mats), compute_uv=False)[7]
+
+    def test_chain_above_element_budget_rejected(self, monkeypatch):
+        monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)
+        assert kr_sigma_experiment(4, 4, order=3, rho=1.0, trials=2).values.size == 2
+        with pytest.raises(PreconditionError):
+            kr_sigma_experiment(4, 5, order=3, rho=1.0, trials=2)
+
+
+def _reversed_order(f, items):
+    items = list(items)
+    return [f(item) for item in reversed(items)][::-1]
+
+
+@pytest.mark.parametrize("trials", [1, 64, 77, 1000])
+@pytest.mark.parametrize("experiment", [
+    lambda mapper, trials: kr_sigma_experiment(4, 8, order=2, rho=1.0, trials=trials,
+                                               seed=12, mapper=mapper),
+    lambda mapper, trials: projection_experiment(8, 2, delta=0.5, rho=1.0, trials=trials,
+                                                 seed=13, mapper=mapper),
+], ids=["kr-sigma", "projection"])
+def test_trial_values_independent_of_mapper(experiment, trials):
+    serial = experiment(map, trials).values
+    assert serial.shape == (trials,)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = experiment(pool.map, trials).values
+    assert serial.tobytes() == threaded.tobytes()
+    assert serial.tobytes() == experiment(_reversed_order, trials).values.tobytes()
 
 
 class TestProjectionExperiment:
