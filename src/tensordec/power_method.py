@@ -43,7 +43,7 @@ class OrthogonalDecomposition:
     ``vectors`` holds the ``v_i`` as columns of an (n, k) matrix, unit norm
     and mutually orthogonal for exactly decomposable inputs; recovery from
     noisy tensors can leave small cross inner products, which
-    :meth:`validate` measures rather than the constructor rejecting them.
+    :meth:`max_cross_inner` measures rather than the constructor rejecting them.
     """
 
     lambdas: np.ndarray
@@ -78,15 +78,6 @@ class OrthogonalDecomposition:
         norms = np.linalg.norm(self.vectors, axis=0)
         return float(np.max(np.abs(norms - 1.0))) if self.rank else 0.0
 
-    def validate(self, ortho_tol=1e-8, norm_tol=1e-10):
-        """Raise unless the columns are unit and pairwise orthogonal."""
-        dev = self.max_norm_deviation()
-        if dev > norm_tol:
-            raise PreconditionError(f"column norms deviate from 1 by {dev:.3e}")
-        cross = self.max_cross_inner()
-        if cross > ortho_tol:
-            raise PreconditionError(f"columns not orthogonal: max inner {cross:.3e}")
-
 
 def _require_symmetric(t):
     if t.order != 3:
@@ -105,31 +96,26 @@ def _require_symmetric(t):
     return arr
 
 
-def _iterate_from(arr, z):
-    """Run the contraction map from z; returns (z, converged, degenerate)."""
-    for _ in range(_MAX_ITERS):
-        u = np.einsum("ijk,j,k->i", arr, z, z)
-        norm = float(np.linalg.norm(u))
-        if norm < _DEGENERATE_NORM:
-            return z, False, True
-        z_next = u / norm
-        step = float(np.linalg.norm(z_next - z))
-        z = z_next
-        if step < _STEP_TOL:
-            return z, True, False
-    return z, False, False
+def _contract(arr, z):
+    """``T(:, z_r, z_r)`` for every column z_r of the (n, R) matrix z."""
+    n = arr.shape[0]
+    partial = (arr.reshape(n * n, n) @ z).reshape(n, n, z.shape[1])
+    return np.einsum("ijr,jr->ir", partial, z)
 
 
 def deflate_decompose(t, k, config=None):
     """Recover k terms of a symmetric tensor by iterated deflation.
 
-    Each round runs 10 independent power iterations, of at most 500 steps,
-    on the current residual tensor and keeps the converged run with the
-    largest ``|lambda|``; the winning term is subtracted and the next round begins.
-    Returns ``(decomposition, residual_frobenius_norm)`` with terms sorted
-    by ``|lambda|`` descending; lambdas are reported nonnegative, the sign
-    folding into the vector. Raises DegeneracyError when a round has no
-    converged run.
+    Each round starts 10 power iterations on the current residual tensor
+    and advances them together, one contraction of all of them per step;
+    each run stops on its own, when its step falls below 1e-12, and is
+    dropped when its contraction vanishes or it has not converged after
+    500 steps. The converged run with the largest ``|lambda|`` wins (the
+    first such run on a tie); its term is subtracted and the next round
+    begins. Returns ``(decomposition, residual_frobenius_norm)`` with terms
+    sorted by ``|lambda|`` descending; lambdas are reported nonnegative,
+    the sign folding into the vector. Raises DegeneracyError when a round
+    has no converged run.
     """
     cfg = config or PowerConfig()
     arr = _require_symmetric(t).copy()
@@ -140,26 +126,37 @@ def deflate_decompose(t, k, config=None):
     lambdas = []
     vectors = []
     for round_idx in range(k):
-        best = None
+        starts = []
         for restart in range(_RESTARTS):
-            rng = derive_rng(cfg.seed, TAG_POWER, round_idx, restart)
-            z0 = rng.standard_normal(n)
-            z0 /= np.linalg.norm(z0)
-            z, converged, degenerate = _iterate_from(arr, z0)
-            if degenerate or not converged:
-                continue
-            lam = float(z @ np.einsum("ijk,j,k->i", arr, z, z))
-            if best is None or abs(lam) > abs(best[0]):
-                best = (lam, z)
-        if best is None:
+            z0 = derive_rng(cfg.seed, TAG_POWER, round_idx, restart).standard_normal(n)
+            starts.append(z0 / np.linalg.norm(z0))
+        z = np.column_stack(starts)
+        running = np.ones(_RESTARTS, dtype=bool)
+        converged = np.zeros(_RESTARTS, dtype=bool)
+        for _ in range(_MAX_ITERS):
+            u = _contract(arr, z)
+            norms = np.linalg.norm(u, axis=0)
+            running &= norms >= _DEGENERATE_NORM
+            # the floor keeps dropped runs finite; they and the stopped
+            # runs keep their last iterate
+            z_next = u / np.maximum(norms, _DEGENERATE_NORM)
+            done = running & (np.linalg.norm(z_next - z, axis=0) < _STEP_TOL)
+            z = np.where(running, z_next, z)
+            converged |= done
+            running &= ~done
+            if not running.any():
+                break
+        if not converged.any():
             raise DegeneracyError(
                 "no power iteration restart converged",
                 diagnostics={"round": round_idx, "restarts": _RESTARTS},
             )
-        lam, z = best
-        arr -= lam * np.einsum("i,j,k->ijk", z, z, z)
+        lams = np.einsum("ir,ir->r", z, _contract(arr, z))
+        best = int(np.argmax(np.where(converged, np.abs(lams), -1.0)))
+        lam, v = float(lams[best]), z[:, best]
+        arr -= lam * np.einsum("i,j,k->ijk", v, v, v)
         lambdas.append(lam)
-        vectors.append(z)
+        vectors.append(v)
 
     lambdas = np.array(lambdas) if lambdas else np.zeros(0)
     vectors = np.column_stack(vectors) if vectors else np.zeros((n, 0))

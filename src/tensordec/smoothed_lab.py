@@ -42,6 +42,17 @@ def perturb_matrix(base, rho, rng):
     return base + rng.normal(0.0, rho / np.sqrt(n), base.shape)
 
 
+def _rho_power(rho, order):
+    """``rho**order`` of a positive finite rho; PreconditionError for any
+    other rho, or where the power overflows float64."""
+    if not 0 < rho < np.inf:
+        raise PreconditionError(f"rho must be positive and finite, got {rho}")
+    try:
+        return rho**order
+    except OverflowError:
+        raise PreconditionError(f"rho^order overflows: rho={rho}, order={order}") from None
+
+
 def rotation_pair_basis(n):
     """Orthonormal basis of 45-degree rotations in coordinate pairs.
 
@@ -146,8 +157,7 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
             f"entries, above the budget of {_KR_ELEMENT_BUDGET}"
         )
     rho = float(rho)
-    if not 0 < rho < np.inf:
-        raise PreconditionError(f"rho must be positive and finite, got {rho}")
+    scale = _rho_power(rho, order) / n**order
     if base == "zero":
         bases = [np.zeros((n, k)) for _ in range(order)]
         unperturbed = None
@@ -169,7 +179,6 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     values = _trial_values(one_trial, trials, seed, mapper)
 
     delta = 1.0 - k / n**order
-    scale = rho**order / n**order
     grid = np.asarray(_DEFAULT_C_GRID)
     fractions = np.array([np.mean(values < c * scale) for c in grid])
     return KrSigmaResult(
@@ -231,11 +240,10 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         raise PreconditionError("n and trials must be positive")
     rho = float(rho)
     delta = float(delta)
-    if not 0 < rho < np.inf:
-        raise PreconditionError(f"rho must be positive and finite, got {rho}")
-    if not np.isfinite(delta):
-        raise PreconditionError(f"delta must be finite, got {delta}")
+    rho_power = _rho_power(rho, order)
     ambient = n**order
+    if not np.isfinite(delta * ambient):
+        raise PreconditionError(f"delta * n^order must be finite, got {delta} * {ambient}")
     dim = int(np.ceil(delta * ambient))
     if dim < 1:
         raise PreconditionError("delta * n^order must be at least 1")
@@ -266,8 +274,8 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     values = _trial_values(one_trial, trials, seed, mapper)
 
     grid = np.asarray(_DEFAULT_C_GRID)
-    dim_scale = rho**order / n**order
-    sqrt_scale = rho**order / n ** (order / 2.0)
+    dim_scale = rho_power / n**order
+    sqrt_scale = rho_power / n ** (order / 2.0)
     return ProjectionResult(
         n=n, order=order, delta=delta, rho=rho, subspace_dim=dim, values=values,
         c_grid=_DEFAULT_C_GRID,

@@ -318,6 +318,21 @@ class TestLab:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kr-sigma", "--n", "4", "--k", "4", "--l", "2", "--rho", "1e300"],
+            ["projection", "--n", "32", "--l", "1", "--delta", "1e308"],
+            ["projection", "--n", "4", "--l", "2", "--delta", "0.5", "--rho", "1e300"],
+        ],
+        ids=["kr-sigma-rho", "projection-delta", "projection-rho"],
+    )
+    def test_overflowing_parameters_exit_4(self, tmp_path, argv):
+        # finite flags whose power overflows float64
+        code, out = run(tmp_path, "lab", *argv, "--trials", "3")
+        assert code == 4
+        assert not out.exists()
+
     def test_kr_chain_over_budget_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)
         code, out = run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "5",

@@ -12,12 +12,18 @@ from tensordec import (
     PreconditionError,
     deflate_decompose,
     frobenius_norm,
+    gmm_orthogonal_params,
+    gmm_sample,
+    gmm_second_moment,
+    gmm_statistic_t3,
     jennrich_decompose,
     match_terms,
     random_orthogonal_symmetric,
     synthesize,
     whiten,
 )
+from tensordec import power_method
+from tensordec.seeding import TAG_POWER, derive_rng
 
 
 def _sym3(n, rng):
@@ -28,24 +34,62 @@ def _sym3(n, rng):
     return DenseTensor(out / 6.0)
 
 
+def _reference_run(arr, z, max_iters):
+    """One restart, one contraction at a time: ``(z, converged, steps)``."""
+    for steps in range(1, max_iters + 1):
+        u = np.einsum("ijk,j,k->i", arr, z, z)
+        norm = float(np.linalg.norm(u))
+        if norm < 1e-14:
+            return z, False, steps
+        z_next = u / norm
+        step = float(np.linalg.norm(z_next - z))
+        z = z_next
+        if step < 1e-12:
+            return z, True, steps
+    return z, False, max_iters
+
+
+def _reference_decompose(t, k, seed=0, max_iters=500):
+    """Reference for the lockstep rounds: the restarts of each round run one
+    after another. Returns ``(lambdas, vectors, residual, steps per round)``."""
+    arr = t.data.copy()
+    n = arr.shape[0]
+    lambdas, vectors, round_steps = [], [], []
+    for round_idx in range(k):
+        best = None
+        steps = []
+        for restart in range(10):
+            z0 = derive_rng(seed, TAG_POWER, round_idx, restart).standard_normal(n)
+            z, converged, used = _reference_run(arr, z0 / np.linalg.norm(z0), max_iters)
+            steps.append(used)
+            if not converged:
+                continue
+            lam = float(z @ np.einsum("ijk,j,k->i", arr, z, z))
+            if best is None or abs(lam) > abs(best[0]):
+                best = (lam, z)
+        lam, z = best
+        arr -= lam * np.einsum("i,j,k->ijk", z, z, z)
+        lambdas.append(lam)
+        vectors.append(z)
+        round_steps.append(steps)
+    lambdas = np.array(lambdas)
+    order = np.argsort(-np.abs(lambdas), kind="stable")
+    signs = np.where(lambdas[order] < 0, -1.0, 1.0)
+    vectors = np.column_stack(vectors)[:, order] * signs
+    return lambdas[order] * signs, vectors, float(np.linalg.norm(arr.ravel())), round_steps
+
+
+def _whitened_gmm_moment(n, k, samples, seed):
+    x = gmm_sample(gmm_orthogonal_params(n, k, seed=seed), samples, seed=seed)
+    return whiten(gmm_statistic_t3(x), gmm_second_moment(x), k).tensor
+
+
 class TestOrthogonalDecomposition:
     def test_validate_accepts_orthonormal(self):
         od = OrthogonalDecomposition(np.array([2.0, 1.0]), np.eye(3)[:, :2])
-        od.validate()
         assert od.rank == 2
         assert od.max_cross_inner() == 0.0
         assert od.max_norm_deviation() == 0.0
-
-    def test_validate_rejects_correlated_columns(self):
-        v = np.array([[1.0, 0.9], [0.0, np.sqrt(1 - 0.81)]])
-        od = OrthogonalDecomposition(np.array([1.0, 1.0]), v)
-        with pytest.raises(PreconditionError):
-            od.validate()
-
-    def test_validate_rejects_unnormalized(self):
-        od = OrthogonalDecomposition(np.array([1.0]), np.array([[2.0], [0.0]]))
-        with pytest.raises(PreconditionError):
-            od.validate()
 
     def test_shape_checks(self):
         with pytest.raises(PreconditionError):
@@ -83,7 +127,8 @@ class TestDeflateDecompose:
         truth = random_orthogonal_symmetric(8, 5, seed=3)
         t = synthesize(truth)
         od, residual = deflate_decompose(t, 5)
-        od.validate(ortho_tol=1e-8, norm_tol=1e-10)
+        assert od.max_cross_inner() <= 1e-8
+        assert od.max_norm_deviation() <= 1e-10
         assert residual <= 1e-9 * frobenius_norm(t)
         found = CpDecomposition([od.vectors] * 3, od.lambdas)
         assert match_terms(found, truth).max_error <= 1e-9
@@ -123,6 +168,67 @@ class TestDeflateDecompose:
         od_b, _ = deflate_decompose(t, 3, PowerConfig(seed=2))
         assert np.allclose(od_a.lambdas, od_b.lambdas, atol=1e-9)
         assert np.allclose(od_a.vectors, od_b.vectors, atol=1e-8)
+
+
+class TestLockstepRestarts:
+    """The restarts of a round advance together and agree with running
+    them one after another."""
+
+    @staticmethod
+    def _assert_matches_reference(t, k, seed, max_iters=500):
+        od, residual = deflate_decompose(t, k, PowerConfig(seed=seed))
+        lambdas, vectors, ref_residual, _ = _reference_decompose(t, k, seed, max_iters)
+        assert np.max(np.abs(od.lambdas - lambdas)) <= 1e-12
+        assert np.max(np.abs(od.vectors - vectors)) <= 1e-12
+        assert abs(residual - ref_residual) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 4, 8, 12, 16])
+    def test_orthogonal_16_matches_reference(self, k):
+        t = synthesize(random_orthogonal_symmetric(16, k, seed=20 + k))
+        self._assert_matches_reference(t, k, seed=k)
+
+    def test_noisy_matches_reference(self):
+        t = synthesize(random_orthogonal_symmetric(6, 4, seed=21))
+        noise = _sym3(6, np.random.default_rng(22))
+        scale = 1e-3 * frobenius_norm(t) / frobenius_norm(noise)
+        self._assert_matches_reference(DenseTensor(t.data + scale * noise.data), 4, seed=3)
+
+    @pytest.mark.parametrize("n,k", [(8, 3), (16, 4)])
+    def test_whitened_gmm_moment_matches_reference(self, n, k):
+        t = _whitened_gmm_moment(n, k, 20_000, seed=n)
+        self._assert_matches_reference(t, k, seed=n)
+
+    def test_short_step_budget_matches_reference(self, monkeypatch):
+        # at 8 steps some restarts of a round run out: only converged runs
+        # may win, whatever their lambdas
+        monkeypatch.setattr(power_method, "_MAX_ITERS", 8)
+        t = synthesize(random_orthogonal_symmetric(16, 8, seed=32))
+        self._assert_matches_reference(t, 8, seed=2, max_iters=8)
+
+    def test_step_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(power_method, "_MAX_ITERS", 1)
+        t = synthesize(random_orthogonal_symmetric(6, 3, seed=23))
+        with pytest.raises(DegeneracyError) as exc_info:
+            deflate_decompose(t, 3)
+        assert exc_info.value.diagnostics == {"round": 0, "restarts": 10}
+
+    def test_one_contraction_per_lockstep_step(self, monkeypatch):
+        # a round costs as many contractions as its longest restart has
+        # steps (plus one for the lambdas), not the sum over its restarts
+        t = synthesize(random_orthogonal_symmetric(16, 8, seed=24))
+        calls = []
+        contract = power_method._contract
+
+        def counting(arr, z):
+            calls.append(z.shape[1])
+            return contract(arr, z)
+
+        monkeypatch.setattr(power_method, "_contract", counting)
+        deflate_decompose(t, 1, PowerConfig(seed=5))
+        steps = _reference_decompose(t, 1, seed=5)[3][0]
+        assert set(calls) == {10}
+        assert max(steps) <= len(calls) <= max(steps) + 2
+        assert len(calls) < sum(steps) / 4
 
 
 class TestWhiten:
