@@ -93,11 +93,16 @@ def _parse_groups(text, order):
     return FlatteningPlan(order=order, groups=tuple(groups))
 
 
-def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+def _resolve_seed(args, parser):
+    if args.seed is not None:
+        return args.seed
     env = os.environ.get("TENSORDEC_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return _nonnegative_int(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        parser.error(f"TENSORDEC_SEED={env!r}: {exc}")
 
 
 def _sha256_bytes(data):
@@ -343,6 +348,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _rank(text):
     if text == "auto":
         return text
@@ -360,7 +372,7 @@ def _nonnegative_float(text):
 
 
 def _add_common(parser, threads=False):
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_nonnegative_int, default=None,
                         help="RNG seed (default: $TENSORDEC_SEED or 0)")
     parser.add_argument("--out", required=True, help="output directory")
     if threads:
@@ -500,7 +512,7 @@ def _manifest(args, seed, inputs, outputs, wall_time):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     threads = getattr(args, "threads", 1)
     started = time.perf_counter()
     try:

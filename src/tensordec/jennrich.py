@@ -1,21 +1,19 @@
 """Jennrich's simultaneous-diagonalization algorithm for order-3 tensors.
 
 Given ``T = sum_i u_i (x) v_i (x) w_i`` with full-column-rank ``U`` and
-``V`` and pairwise-separated ``w_i`` directions, the algorithm is:
+``V`` and pairwise-separated ``w_i`` directions, the algorithm is
+(Leurgans, Ross & Abel 1993):
 
 1. draw ``a, b ~ N(0, 1/p)^p`` and form the slice combinations
    ``M_a = T(:, :, a)``, ``M_b = T(:, :, b)``;
-2. the u-factors are eigenvectors of ``M_a pinv(M_b)`` for the k largest
-   (in magnitude) eigenvalues, whose values are the Rayleigh ratios
-   ``<w_i, a> / <w_i, b>``; the v-factors are eigenvectors of
-   ``(pinv(M_a) M_b)^T``, whose nonzero eigenvalues are the reciprocal
-   ratios;
-3. pair u- and v-eigenvectors whose eigenvalues multiply to 1 within a
-   tolerance;
-4. solve the stacked linear system ``T = sum_i u_i (x) v_i (x) w_i`` for
-   the w-factors by least squares over all n*m*p entries (the coefficient
-   of ``w_i`` at slice position (i1, i2) is the rank-one matrix
-   ``u_i v_i^T``);
+2. take the thin SVD ``M_b = P S Q^T``, cut at the pseudoinverse's rank
+   tolerance, and form the core ``C = P^T M_a Q S^-1``; its eigenvalues are
+   the nonzero eigenvalues of ``M_a pinv(M_b)``, the Rayleigh ratios
+   ``<w_i, a> / <w_i, b>``, and its leading k x k block is the core of the
+   rank-k truncation;
+3. the u-factors are ``P_k Y`` for the eigenvectors ``Y`` of that block;
+4. row i of ``pinv(U) T_(1)``, reshaped to m x p, is ``v_i w_i^T``, so the
+   top singular triple of each row gives ``v_i``, ``w_i`` and the weight;
 5. return the canonical decomposition.
 
 Random draws whose eigenvalue ratios come too close together, or too close
@@ -27,20 +25,17 @@ degenerate inputs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import DegeneracyError, PreconditionError
-from .matrix_ops import condition_number, eig_nonsymmetric, pseudoinverse
+from .matrix_ops import condition_number, eig_nonsymmetric, pseudoinverse, truncated_svd
 from .seeding import TAG_JENNRICH, derive_rng
-from .tensor_core import CpDecomposition, khatri_rao, slice_combination
+from .tensor_core import CpDecomposition, slice_combination
 
 AUTO_RANK_THRESHOLD = 1e-6
 # Smallest acceptable eigenvalue gap and magnitude before a draw is rejected.
 _MIN_SEP = 1e-9
-# How far the product of two paired eigenvalues may sit from 1.
-_EIG_PAIR_TOL = 1e-3
 # Random draws of the combination vectors before giving up.
 _DRAWS = 6
 
@@ -65,7 +60,7 @@ class RecoveryReport:
     condition_numbers: list = field(default_factory=list)
     eigenvalue_min_gap: float | None = None
     eigenvalue_min_magnitude: float | None = None
-    max_pair_residual: float | None = None
+    max_split_residual: float | None = None
     max_imag_part: float | None = None
     retries: int | None = None
     permutation: list | None = None
@@ -105,28 +100,19 @@ def _safe_kappa(f):
 
 
 def _phase_aligned_real(columns):
-    """Rotate complex columns so their largest entry is real-positive, then
-    take real parts; returns (real matrix, worst leftover imaginary part)."""
-    out = np.empty(columns.shape, dtype=np.float64)
-    worst = 0.0
-    for i in range(columns.shape[1]):
-        col = columns[:, i]
-        j = int(np.argmax(np.abs(col)))
-        pivot = col[j]
-        if pivot != 0:
-            col = col * (np.conj(pivot) / abs(pivot))
-        worst = max(worst, float(np.max(np.abs(col.imag))))
-        out[:, i] = col.real
-    return out, worst
+    """Rotate nonzero complex columns so their largest entry is real-positive,
+    then take real parts; returns (real matrix, worst leftover imaginary part)."""
+    pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    rotated = columns * (np.conj(pivots) / np.abs(pivots))
+    return rotated.real, float(np.max(np.abs(rotated.imag)))
 
 
 def jennrich_decompose(t, config=None):
     """Decompose an order-3 tensor into rank-one terms.
 
     Returns ``(decomposition, report)``. Raises DegeneracyError when no
-    random draw within the retry budget produces separated, reciprocally
-    paired eigenvalues, and PreconditionError when the requested rank
-    exceeds ``min(n, m)``.
+    random draw within the retry budget produces separated eigenvalues, and
+    PreconditionError when the requested rank exceeds ``min(n, m)``.
     """
     cfg = config or JennrichConfig()
     if t.order != 3:
@@ -149,74 +135,58 @@ def jennrich_decompose(t, config=None):
         a = rng.normal(0.0, 1.0 / np.sqrt(p), size=p)
         b = rng.normal(0.0, 1.0 / np.sqrt(p), size=p)
         ma = slice_combination(t, a)
-        mb = slice_combination(t, b)
+        left, s, right_t = truncated_svd(slice_combination(t, b))
+        core = (left.T @ ma @ right_t.T) / s
+        r = s.size
 
-        if rank == "auto":
-            m_u = ma @ pseudoinverse(mb)
-            probe = eig_nonsymmetric(m_u)
-            mags = np.abs(probe.values)
-            top = float(np.max(mags)) if mags.size else 0.0
-            k = int(np.count_nonzero(mags > AUTO_RANK_THRESHOLD * top)) if top > 0 else 0
-            if k > min(n, m):
-                k = min(n, m)
-        else:
+        if rank != "auto":
             k = rank
+        elif r == 0:
+            k = 0
+        else:
+            mags = np.abs(eig_nonsymmetric(core).values)
+            k = int(np.count_nonzero(mags > AUTO_RANK_THRESHOLD * np.max(mags)))
         if k == 0:
             empty = CpDecomposition(
                 [np.zeros((n, 0)), np.zeros((m, 0)), np.zeros((p, 0))], []
             )
             return empty, RecoveryReport(condition_numbers=[], retries=attempt)
+        if k > r:
+            failure.update(min_magnitude=0.0, stage="separation")
+            continue
 
-        m_u = ma @ pseudoinverse(mb, rank=k)
-        m_v = (pseudoinverse(ma, rank=k) @ mb).T
-        eig_u = eig_nonsymmetric(m_u)
-        eig_v = eig_nonsymmetric(m_v)
-        top_u = np.argsort(-np.abs(eig_u.values))[:k]
-        top_v = np.argsort(-np.abs(eig_v.values))[:k]
-        lam = eig_u.values[top_u]
-        mu = eig_v.values[top_v]
-
-        gap = min(_min_pairwise_gap(lam), _min_pairwise_gap(mu))
-        mag = float(min(np.min(np.abs(lam)), np.min(np.abs(mu))))
+        eig = eig_nonsymmetric(core[:k, :k])
+        order = np.argsort(-np.abs(eig.values))
+        lam = eig.values[order]
+        gap = _min_pairwise_gap(lam)
+        mag = float(np.min(np.abs(lam)))
         if not (gap >= _MIN_SEP and mag >= _MIN_SEP):
             failure.update(min_gap=gap, min_magnitude=mag, stage="separation")
             continue
 
-        # Reciprocal pairing: product of matched eigenvalues must be ~1.
-        cost = np.abs(lam[:, None] * mu[None, :] - 1.0)
-        rows, cols = linear_sum_assignment(cost)
-        residuals = cost[rows, cols]
-        if np.max(residuals) > _EIG_PAIR_TOL:
-            failure.update(
-                worst_pair_residual=float(np.max(residuals)), stage="pairing"
-            )
-            continue
+        u_mat, imag = _phase_aligned_real(left[:, :k] @ eig.vectors[:, order])
+        # Row i of pinv(U) T_(1) is v_i (x) w_i; its top singular triple
+        # splits it into the other two factors and the weight.
+        rows = (pseudoinverse(u_mat) @ t.data.reshape(n, m * p)).reshape(k, m, p)
+        v_split, sigma, w_split = np.linalg.svd(rows, full_matrices=False)
+        split_residual = np.linalg.norm(sigma[:, 1:], axis=1) / sigma[:, 0]
 
-        u_cols = eig_u.vectors[:, top_u[rows]]
-        v_cols = eig_v.vectors[:, top_v[cols]]
-        u_mat, imag_u = _phase_aligned_real(u_cols)
-        v_mat, imag_v = _phase_aligned_real(v_cols)
-
-        # Least squares for the w-factors: stack every slice of T against
-        # the rank-one coefficient matrices u_i v_i^T.
-        design = khatri_rao(u_mat, v_mat)
-        unfolding = t.data.reshape(n * m, p)
-        w_mat = (pseudoinverse(design) @ unfolding).T
-
-        decomposition = CpDecomposition([u_mat, v_mat, w_mat], np.ones(k))
+        decomposition = CpDecomposition(
+            [u_mat, v_split[:, :, 0].T, w_split[:, 0, :].T], sigma[:, 0]
+        )
         report = RecoveryReport(
             condition_numbers=[_safe_kappa(f) for f in decomposition.factors],
             eigenvalue_min_gap=gap,
             eigenvalue_min_magnitude=mag,
-            max_pair_residual=float(np.max(residuals)) if k else 0.0,
-            max_imag_part=max(imag_u, imag_v),
+            max_split_residual=float(np.max(split_residual)),
+            max_imag_part=imag,
             retries=attempt,
         )
         return decomposition, report
 
     raise DegeneracyError(
-        "no random slice combination produced separated, reciprocally paired "
-        f"eigenvalues after {_DRAWS} draws",
+        "no random slice combination produced separated eigenvalues "
+        f"after {_DRAWS} draws",
         diagnostics=failure,
     )
 

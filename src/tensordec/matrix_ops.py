@@ -35,25 +35,23 @@ def _as_matrix(m, who):
     return m
 
 
-def pseudoinverse(m, rank=None):
+def truncated_svd(m):
+    """Thin SVD ``(u, s, vh)`` with the singular values at or below ``1e-10``
+    times the largest dropped (all of them for a zero matrix)."""
+    m = _as_matrix(m, "truncated_svd")
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    r = int(np.count_nonzero(s > _RANK_RTOL * s[0]))
+    return u[:, :r], s[:r], vh[:r]
+
+
+def pseudoinverse(m):
     """Moore-Penrose pseudoinverse via SVD truncation.
 
     Singular values at or below ``1e-10`` times the largest are treated as
-    zero. When ``rank`` is given, at most that many leading singular values
-    are inverted (callers that know the target rank truncate there).
+    zero.
     """
-    m = _as_matrix(m, "pseudoinverse")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    keep = s > _RANK_RTOL * s[0]
-    if rank is not None:
-        keep &= np.arange(s.size) < int(rank)
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    inv = vh[:r].T / s[:r]
-    return inv @ u[:, :r].T
+    u, s, vh = truncated_svd(m)
+    return (vh.T / s) @ u.T
 
 
 def eig_nonsymmetric(m):

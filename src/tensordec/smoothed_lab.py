@@ -87,12 +87,16 @@ def _sigma_k(matrix, k):
 
 def _trial_values(one_trial, trials, seed, mapper):
     """``one_trial(rng)`` for each trial t < trials on derived stream t + 1
-    (stream 0 is the set-up's), given to ``mapper`` in blocks of _TRIAL_BLOCK."""
+    (stream 0 is the set-up's), given to ``mapper`` in blocks of _TRIAL_BLOCK.
+    Raises PreconditionError when a trial overflows to a non-finite value."""
     def fill(block, rows):
         first = block * _TRIAL_BLOCK + 1
         rows[:] = [one_trial(derive_rng(seed, TAG_LAB, first + i)) for i in range(len(rows))]
 
-    return fill_blocks(np.empty(trials), _TRIAL_BLOCK, fill, mapper)
+    values = fill_blocks(np.empty(trials), _TRIAL_BLOCK, fill, mapper)
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError("a trial value overflows float64; lower rho or delta")
+    return values
 
 
 @dataclass

@@ -333,6 +333,13 @@ class TestLab:
         assert code == 4
         assert not out.exists()
 
+    def test_overflowing_trials_exit_4(self, tmp_path):
+        # rho^2 fits in float64, but the perturbed rank-one tensors do not
+        code, out = run(tmp_path, "lab", "projection", "--n", "4", "--l", "2",
+                        "--delta", "0.5", "--rho", "1e154", "--trials", "3")
+        assert code == 4
+        assert not out.exists()
+
     def test_kr_chain_over_budget_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)
         code, out = run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "5",
@@ -403,6 +410,23 @@ class TestSeedResolution:
                         "--seed", "24")
         assert code == 0
         assert read_json(out / "manifest.json")["seed"] == 24
+
+    @pytest.mark.parametrize(
+        "flag, env",
+        [("-1", None), ("abc", None), ("2.5", None), (None, "-1"), (None, "abc")],
+        ids=["flag-negative", "flag-text", "flag-float", "env-negative", "env-text"],
+    )
+    def test_bad_seed_exits_2(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("TENSORDEC_SEED", raising=False)
+        else:
+            monkeypatch.setenv("TENSORDEC_SEED", env)
+        seed = ["--seed", flag] if flag is not None else []
+        with pytest.raises(SystemExit) as exc_info:
+            run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "2", *seed)
+        assert exc_info.value.code == 2
+        assert ("--seed" if flag is not None else "TENSORDEC_SEED") in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestParser:

@@ -1,5 +1,9 @@
 """Simultaneous diagonalization: recovery and term matching."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,9 +17,13 @@ from tensordec import (
     jennrich_decompose,
     match_terms,
     outer_product,
+    pseudoinverse,
     random_decomposition,
+    slice_combination,
     synthesize,
 )
+from tensordec import jennrich
+from tensordec.seeding import TAG_JENNRICH, derive_rng
 
 
 def _reconstruction_error(found, t):
@@ -108,12 +116,112 @@ class TestJennrichDecompose:
         _, report = jennrich_decompose(synthesize(truth))
         assert report.eigenvalue_min_gap > 0
         assert report.eigenvalue_min_magnitude > 0
-        assert report.max_pair_residual <= 1e-3
+        assert report.max_split_residual <= 1e-10
         assert report.max_imag_part is not None
         assert len(report.condition_numbers) == 3
         d = report.to_dict()
         assert "eigenvalue_min_gap" in d
         assert "unflatten_residuals" not in d  # None fields dropped
+
+    def test_wide_flattening_round_trip(self):
+        # p < k: each split R_i is 16 x 4, so its rank-one part is cut from
+        # a matrix with fewer columns than there are terms.
+        rng = np.random.default_rng(30)
+        truth = CpDecomposition(
+            [rng.standard_normal((16, 8)), rng.standard_normal((16, 8)),
+             rng.standard_normal((4, 8))],
+            np.ones(8),
+        )
+        found, report = jennrich_decompose(synthesize(truth), JennrichConfig(rank=8))
+        assert found.rank == 8
+        assert match_terms(found, truth).max_error < 1e-8
+        assert report.max_split_residual <= 1e-10
+
+
+def _eig_spy(monkeypatch):
+    """Record every matrix jennrich hands to eig_nonsymmetric."""
+    seen = []
+
+    def spy(m):
+        seen.append(np.array(m))
+        return jennrich_eig(m)
+
+    jennrich_eig = jennrich.eig_nonsymmetric
+    monkeypatch.setattr(jennrich, "eig_nonsymmetric", spy)
+    return seen
+
+
+def _by_magnitude(values):
+    return values[np.argsort(-np.abs(values))]
+
+
+class TestCore:
+    @pytest.mark.parametrize(
+        "shape, k, seed", [((8, 8, 8), 8, 31), ((7, 9, 5), 4, 32)]
+    )
+    def test_core_eigenvalues_are_nonzero_eigenvalues_of_pencil(
+        self, monkeypatch, shape, k, seed
+    ):
+        t = synthesize(random_decomposition(shape, k, seed=seed))
+        seen = _eig_spy(monkeypatch)
+        _, report = jennrich_decompose(t, JennrichConfig(seed=seed))
+        assert report.retries == 0
+        # auto rank: one eig of the whole core, one of its leading k x k block
+        assert [c.shape for c in seen] == [(k, k), (k, k)]
+        rng = derive_rng(seed, TAG_JENNRICH, 0)
+        a = rng.normal(0.0, 1.0 / np.sqrt(shape[2]), size=shape[2])
+        b = rng.normal(0.0, 1.0 / np.sqrt(shape[2]), size=shape[2])
+        pencil = slice_combination(t, a) @ pseudoinverse(slice_combination(t, b))
+        full = _by_magnitude(np.linalg.eigvals(pencil))
+        core = _by_magnitude(np.linalg.eigvals(seen[0]))
+        scale = np.max(np.abs(full))
+        assert np.all(np.abs(full[k:]) <= 1e-10 * scale)
+        assert np.allclose(core, full[:k], rtol=0.0, atol=1e-10 * scale)
+
+    def test_given_rank_makes_one_eig_per_draw(self, monkeypatch):
+        t = synthesize(random_decomposition((8, 8, 8), 5, seed=33))
+        seen = _eig_spy(monkeypatch)
+        _, report = jennrich_decompose(t, JennrichConfig(rank=5))
+        assert len(seen) == report.retries + 1
+        assert all(c.shape == (5, 5) for c in seen)
+
+    def test_import_skips_scipy_optimize(self):
+        # the pairing was the package's only scipy.optimize use
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jennrich.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, tensordec.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "False"
+
+
+def _phase_aligned_real_loop(columns):
+    """Column-by-column reference for jennrich._phase_aligned_real."""
+    out = np.empty(columns.shape, dtype=np.float64)
+    worst = 0.0
+    for i in range(columns.shape[1]):
+        col = columns[:, i]
+        j = int(np.argmax(np.abs(col)))
+        pivot = col[j]
+        if pivot != 0:
+            col = col * (np.conj(pivot) / abs(pivot))
+        worst = max(worst, float(np.max(np.abs(col.imag))))
+        out[:, i] = col.real
+    return out, worst
+
+
+class TestPhaseAlignedReal:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        cols[:, 3] = cols[:, 3].real * np.exp(0.7j)  # a real direction under a phase
+        got, worst = jennrich._phase_aligned_real(cols)
+        want, want_worst = _phase_aligned_real_loop(cols)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        assert worst == pytest.approx(want_worst, rel=0.0, abs=1e-14)
 
 
 class TestMatchTerms:

@@ -33,11 +33,6 @@ class TestPseudoinverse:
         assert np.allclose(m @ p @ m, m, atol=1e-10)
         assert np.allclose(p @ m @ p, p, atol=1e-10)
 
-    def test_rank_cap(self):
-        m = np.diag([4.0, 2.0, 1.0])
-        p = pseudoinverse(m, rank=2)
-        assert np.allclose(p, np.diag([0.25, 0.5, 0.0]))
-
     def test_relative_tolerance_truncates(self):
         m = np.diag([1.0, 1e-14])
         p = pseudoinverse(m)
