@@ -195,13 +195,12 @@ def _bottleneck_assignment(cost):
     """Perfect matching minimizing the maximum edge cost.
 
     Binary search over the sorted edge costs; feasibility at a threshold is
-    a bipartite matching problem. Returns (columns matched to each row,
-    bottleneck value).
+    a bipartite matching problem. Returns (the column matched to each row,
+    the cost of each matched pair, the bottleneck value).
     """
     cost = np.asarray(cost, dtype=np.float64)
-    k = cost.shape[0]
-    if k == 0:
-        return np.zeros(0, dtype=int), 0.0
+    if cost.shape[0] == 0:
+        return [], [], 0.0
     levels = np.unique(cost)
     lo, hi = 0, levels.size - 1
     best = None
@@ -214,8 +213,9 @@ def _bottleneck_assignment(cost):
             hi = mid - 1
         else:
             lo = mid + 1
-    perm = np.asarray(best, dtype=int)
-    return perm, float(np.max(cost[np.arange(k), perm]))
+    perm = [int(j) for j in best]
+    errors = [float(cost[i, j]) for i, j in enumerate(perm)]
+    return perm, errors, max(errors)
 
 
 def match_terms(found, truth):
@@ -240,11 +240,10 @@ def match_terms(found, truth):
     for i in range(k):
         for j in range(k):
             cost[i, j] = np.linalg.norm(found_terms[i] - truth_terms[j])
-    perm, bottleneck = _bottleneck_assignment(cost)
-    errors = [float(cost[i, perm[i]]) for i in range(k)]
+    perm, errors, bottleneck = _bottleneck_assignment(cost)
     return RecoveryReport(
         condition_numbers=[_safe_kappa(f) for f in found.factors],
-        permutation=[int(j) for j in perm],
+        permutation=perm,
         per_term_errors=errors,
-        max_error=bottleneck if k else 0.0,
+        max_error=bottleneck,
     )

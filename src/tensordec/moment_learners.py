@@ -37,15 +37,12 @@ from .matrix_ops import pseudoinverse
 from .overcomplete import overcomplete_decompose
 from .power_method import PowerConfig, _whitening_maps, deflate_decompose, whiten
 from .seeding import TAG_SAMPLER, derive_rng, fill_blocks
-from .tensor_core import CpDecomposition, DenseTensor, khatri_rao
+from .tensor_core import CpDecomposition, DenseTensor, _als_refine, khatri_rao
 
 _MOMENT_BLOCK = 100_000
 # Rows per GEMM in _third_moment: bounds its temporary (8 MiB at n = 16) and
 # fixes the summation order. Kept apart from _MOMENT_BLOCK, which fixes the samples.
 _PRODUCT_BLOCK = 4096
-# ALS polish: sweep cap, and the relative change of a sweep that stops it.
-_POLISH_SWEEPS = 10
-_POLISH_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +268,9 @@ def match_columns(found, truth):
     truth = np.asarray(truth, dtype=np.float64)
     if found.shape != truth.shape:
         raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
-    k = found.shape[1]
-    cost = np.zeros((k, k))
-    for i in range(k):
-        cost[i] = np.linalg.norm(truth - found[:, i : i + 1], axis=0)
-    perm, _ = _bottleneck_assignment(cost)
-    errors = [float(cost[i, perm[i]]) for i in range(k)]
-    return [int(j) for j in perm], errors
+    cost = np.linalg.norm(truth[:, None, :] - found[:, :, None], axis=0)
+    perm, errors, _ = _bottleneck_assignment(cost)
+    return perm, errors
 
 
 def _power_means(whitened, back, k, seed):
@@ -537,35 +530,6 @@ def _to_simplex(v, what):
     return v / total
 
 
-def _als_polish(t, decomposition):
-    """Refit the factors of an order-3 decomposition by alternating least
-    squares on ``t``, starting from ``decomposition``.
-
-    The eigenvector route is consistent but does not minimize the fit
-    residual, so on a sampled moment tensor a few sweeps of mode-wise least
-    squares cut the factor noise substantially. An input that is already an
-    exact decomposition of ``t`` is a fixed point and passes through
-    unchanged up to rounding.
-    """
-    data = t.data
-    n1, n2, n3 = data.shape
-    unfold = (
-        data.reshape(n1, n2 * n3),
-        data.transpose(1, 0, 2).reshape(n2, n1 * n3),
-        data.transpose(2, 0, 1).reshape(n3, n1 * n2),
-    )
-    a, b, c = (f.copy() for f in decomposition.factors)
-    a = a * decomposition.weights[None, :]
-    for _ in range(_POLISH_SWEEPS):
-        previous = a
-        a = unfold[0] @ khatri_rao(b, c) @ pseudoinverse((b.T @ b) * (c.T @ c))
-        b = unfold[1] @ khatri_rao(a, c) @ pseudoinverse((a.T @ a) * (c.T @ c))
-        c = unfold[2] @ khatri_rao(a, b) @ pseudoinverse((a.T @ a) * (b.T @ b))
-        if np.linalg.norm(a - previous) <= _POLISH_TOL * np.linalg.norm(a):
-            break
-    return CpDecomposition([a, b, c], np.ones(a.shape[1]))
-
-
 def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
                            truth=None):
     """Recover chain parameters from the fused moment statistics.
@@ -586,9 +550,11 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
     t = moments.tensor
     cfg = JennrichConfig(rank=k, seed=seed)
     d3, report = jennrich_decompose(t, cfg)
-    d3 = _als_polish(t, d3)
-    left_hat, center_hat, right_hat = d3.factors
-    lam = d3.weights
+    # The eigenvector route is consistent but does not minimize the fit
+    # residual; a few ALS sweeps on the sampled moment cut the factor noise.
+    start = [d3.factors[0] * d3.weights[None, :], *d3.factors[1:]]
+    d3 = CpDecomposition(_als_refine(t.data, start), np.ones(k))
+    _, center_hat, right_hat = d3.factors
 
     center_pinv = pseudoinverse(center_hat)
     right_pinv = pseudoinverse(right_hat)
@@ -621,6 +587,13 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
         transition = np.column_stack(
             [_to_simplex(transition[:, j], f"transition column {j}") for j in range(k)]
         )
+        # The decomposition weights should equal w * |alpha beta gamma|
+        # with alpha the left-mode scale; report the relative spread of the
+        # implied alpha column sums as a sanity number.
+        alpha = d3.weights / (w_raw * beta * gamma)
+        consistency["weight_residual"] = float(
+            np.max(np.abs(alpha)) / max(np.min(np.abs(alpha)), 1e-300) - 1.0
+        )
     else:
         if moments.center_second is None:
             raise PreconditionError(
@@ -635,17 +608,6 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
 
     stationary = _to_simplex(w_raw, "stationary distribution")
     observation_means = center_hat * beta[None, :]
-    consistency["weight_residual"] = float(
-        np.max(np.abs(lam))
-    )  # overwritten below when checkable
-    if context == 1:
-        # The decomposition weights should equal w * |alpha beta gamma|
-        # with alpha the left-mode scale; report the relative spread of the
-        # implied alpha column sums as a sanity number.
-        alpha = lam / (w_raw * beta * gamma)
-        consistency["weight_residual"] = float(
-            np.max(np.abs(alpha)) / max(np.min(np.abs(alpha)), 1e-300) - 1.0
-        )
 
     result = HmmLearnResult(
         observation_means=observation_means,

@@ -8,13 +8,14 @@ because a grouped factor column of a rank-one term is exactly the
 Khatri-Rao (flattened outer) product of its per-mode factors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
 from .jennrich import jennrich_decompose
-from .tensor_core import CpDecomposition, flatten_to_order3
+from .tensor_core import CpDecomposition, _als_refine, _outer, flatten_to_order3
 
 SUSPECT_RESIDUAL = 1e-3
 
@@ -79,11 +80,14 @@ def unflatten_rank_one(v, mode_sizes):
 
     Returns ``(vectors, residual)`` where the outer product of ``vectors``
     is the fitted rank-one tensor (the fitted scale rides on the first
-    vector) and ``residual`` is the relative Frobenius error of the fit.
-    A residual far from zero means the input was not close to rank one.
+    vector, the others are unit) and ``residual`` is the relative Frobenius
+    error of the fit. A residual far from zero means the input was not
+    close to rank one.
 
-    Two modes are solved exactly by a truncated SVD; three or more use
-    alternating contractions from an SVD initialization.
+    Two modes are solved exactly by a truncated SVD. Three or more use the
+    package's ALS refinement at rank one, started from each unfolding's top
+    left singular vector with the fitted scale on the first, so an exact
+    rank-one input stops after one sweep.
     """
     v = np.asarray(v, dtype=np.float64)
     sizes = [int(s) for s in mode_sizes]
@@ -107,50 +111,15 @@ def unflatten_rank_one(v, mode_sizes):
         vectors = [u[:, 0] * float(s[0]), vh[0]]
         # tail singular values give the residual without cancellation
         residual = float(np.linalg.norm(s[1:]) / total)
-    else:
-        vectors = _alternating_rank_one(block)
-        fitted = vectors[0]
-        for x in vectors[1:]:
-            fitted = np.multiply.outer(fitted, x)
-        residual = float(np.linalg.norm(block - fitted) / total)
-    return vectors, residual
-
-
-def _alternating_rank_one(block, max_iters=100, tol=1e-13):
-    g = block.ndim
-    letters = "abcdefghijklmnopqrstuvwxyz"[:g]
-    xs = []
-    for j in range(g):
-        unfold = np.moveaxis(block, j, 0).reshape(block.shape[j], -1)
-        u, _, _ = np.linalg.svd(unfold, full_matrices=False)
-        xs.append(u[:, 0])
-    for _ in range(max_iters):
-        change = 0.0
-        for j in range(g):
-            spec = (
-                letters
-                + ","
-                + ",".join(letters[i] for i in range(g) if i != j)
-                + "->"
-                + letters[j]
-            )
-            y = np.einsum(spec, block, *[xs[i] for i in range(g) if i != j])
-            norm = float(np.linalg.norm(y))
-            if norm == 0.0:
-                return [np.zeros(block.shape[0])] + [
-                    np.zeros(s) for s in block.shape[1:]
-                ]
-            y = y / norm
-            if y @ xs[j] < 0:
-                y = -y
-            change = max(change, float(np.linalg.norm(y - xs[j])))
-            xs[j] = y
-        if change < tol:
-            break
-    spec = letters + "," + ",".join(letters) + "->"
-    scale = float(np.einsum(spec, block, *xs))
-    xs[0] = xs[0] * scale
-    return xs
+        return vectors, residual
+    unfoldings = (np.moveaxis(block, j, 0).reshape(n, -1) for j, n in enumerate(sizes))
+    start = [np.linalg.svd(m, full_matrices=False)[0][:, 0] for m in unfoldings]
+    start[0] = start[0] * float(np.vdot(block, _outer(start)))
+    fitted = [f[:, 0] for f in _als_refine(block, [x[:, None] for x in start])]
+    norms = [float(np.linalg.norm(f)) or 1.0 for f in fitted[1:]]
+    vectors = [fitted[0] * math.prod(norms)]
+    vectors += [f / norm for f, norm in zip(fitted[1:], norms)]
+    return vectors, float(np.linalg.norm(block - _outer(vectors)) / total)
 
 
 def overcomplete_decompose(t, plan=None, config=None):

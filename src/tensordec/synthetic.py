@@ -22,6 +22,8 @@ _MIN_SEPARATION = 0.1
 # Term weights are uniform in this range; orthogonal instances use _LAMBDA_RANGE.
 _WEIGHT_RANGE = (0.5, 2.0)
 _LAMBDA_RANGE = (1.0, 2.0)
+# Smallest k-th singular value of a random chain's P and O.
+_MIN_SIGMA = 0.2
 
 
 def _unit_columns(mat):
@@ -147,23 +149,23 @@ def gmm_orthogonal_params(n, k, norm=5.0, seed=0):
     return GmmParams(means=float(norm) * _orthonormal(rng, n, k))
 
 
-def gmm_smoothed_params(n, k, rho=0.5, seed=0, scale=1.0):
-    """Mixture with smoothed means, typically overcomplete (k > n)."""
+def gmm_smoothed_params(n, k, rho=0.5, seed=0):
+    """Mixture with smoothed unit-norm means, typically overcomplete (k > n)."""
     n, k = int(n), int(k)
     rng = derive_rng(seed, TAG_SYNTH, 0)
     base = _unit_columns(rng.standard_normal((n, k)))
     noised = perturb_matrix(base, float(rho), rng)
-    return GmmParams(means=float(scale) * _unit_columns(noised))
+    return GmmParams(means=_unit_columns(noised))
 
 
-def hmm_random_params(n, k, seed=0, noise_scale=0.0, min_sigma=0.2):
+def hmm_random_params(n, k, seed=0, noise_scale=0.0):
     """Random chain with certified sigma_k lower bounds on P and O.
 
     Transition columns mix a sticky diagonal with smoothed uniform draws
     (a purely random column-stochastic matrix concentrates near rank one,
     so its k-th singular value is almost always tiny); observation means
     are standard Gaussian columns. Draws are rejected until the k-th
-    singular values of both matrices reach ``min_sigma``.
+    singular values of both matrices reach 0.2.
     """
     n, k = int(n), int(k)
     if k < 1 or n < 1:
@@ -178,7 +180,7 @@ def hmm_random_params(n, k, seed=0, noise_scale=0.0, min_sigma=0.2):
         o = rng.standard_normal((n, k))
         sig_p = np.linalg.svd(p, compute_uv=False)[-1]
         sig_o = np.linalg.svd(o, compute_uv=False)[k - 1]
-        if sig_p < min_sigma or sig_o < min_sigma:
+        if sig_p < _MIN_SIGMA or sig_o < _MIN_SIGMA:
             continue
         try:
             w = stationary_distribution(p)
@@ -190,4 +192,4 @@ def hmm_random_params(n, k, seed=0, noise_scale=0.0, min_sigma=0.2):
             stationary=w,
             noise_scale=float(noise_scale),
         )
-    raise DegeneracyError(f"no draw met sigma_k >= {min_sigma} for both P and O")
+    raise DegeneracyError(f"no draw met sigma_k >= {_MIN_SIGMA} for both P and O")

@@ -14,8 +14,12 @@ import math
 import numpy as np
 
 from .errors import FormatError, PreconditionError
+from .matrix_ops import pseudoinverse
 
 _TNSR_MAGIC_KEYS = {"order", "shape"}
+# ALS refinement: sweep cap, and the relative change of a sweep that stops it.
+_POLISH_SWEEPS = 10
+_POLISH_TOL = 1e-12
 
 
 class DenseTensor:
@@ -219,6 +223,35 @@ def khatri_rao(a, b):
     m, k = a.shape
     n = b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, k)
+
+
+def _als_refine(data, factors):
+    """Refit the factor matrices of a CP model of ``data`` by alternating
+    least squares, starting from ``factors`` (one (n_j, k) matrix per mode).
+
+    Each sweep updates the modes in order, mode j to its unfolding times the
+    Khatri-Rao product of the other factors (in mode order) times the
+    pseudoinverse of the Hadamard product of their Grams (Kolda & Bader
+    2009). Stops after ``_POLISH_SWEEPS`` sweeps, or once a sweep changes
+    the first factor by at most ``_POLISH_TOL`` relative, so a start that is
+    already a fixed point takes one sweep. The weights ride on the factors.
+    """
+    unfoldings = [
+        np.moveaxis(data, j, 0).reshape(n, -1) for j, n in enumerate(data.shape)
+    ]
+    # C order fixes the BLAS summation order of the first sweep's products
+    factors = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
+    for _ in range(_POLISH_SWEEPS):
+        previous = factors[0]
+        for j, unfolding in enumerate(unfoldings):
+            others = factors[:j] + factors[j + 1 :]
+            grams = functools.reduce(np.multiply, [f.T @ f for f in others])
+            kr = functools.reduce(khatri_rao, others)
+            factors[j] = unfolding @ kr @ pseudoinverse(grams)
+        change = np.linalg.norm(factors[0] - previous)
+        if change <= _POLISH_TOL * np.linalg.norm(factors[0]):
+            break
+    return factors
 
 
 def flatten_to_order3(t, group1, group2, group3):

@@ -12,9 +12,8 @@ from tensordec import (
     read_decomposition,
     read_tnsr,
     synthesize,
-    write_decomposition,
-    write_tnsr,
 )
+from tensordec.tensor_core import write_decomposition, write_tnsr
 from tensordec import smoothed_lab
 from tensordec.cli import build_parser, main
 

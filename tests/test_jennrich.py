@@ -16,12 +16,12 @@ from tensordec import (
     frobenius_norm,
     jennrich_decompose,
     match_terms,
-    outer_product,
     pseudoinverse,
     random_decomposition,
     slice_combination,
     synthesize,
 )
+from tensordec.tensor_core import outer_product
 from tensordec import jennrich
 from tensordec.seeding import TAG_JENNRICH, derive_rng
 

@@ -24,10 +24,33 @@ from tensordec import (
     hmm_random_params,
     hmm_sample,
     match_columns,
-    stationary_distribution,
 )
-from tensordec import moment_learners
-from tensordec.moment_learners import _PRODUCT_BLOCK, _third_moment
+from tensordec import JennrichConfig, jennrich_decompose, moment_learners
+from tensordec.matrix_ops import pseudoinverse
+from tensordec.moment_learners import _PRODUCT_BLOCK, _third_moment, stationary_distribution
+from tensordec.tensor_core import CpDecomposition, _als_refine, khatri_rao
+
+
+def _als_polish(t, decomposition):
+    """The order-3 ALS polish the shared refinement replaced, kept here as
+    the reference for the chain learner."""
+    data = t.data
+    n1, n2, n3 = data.shape
+    unfold = (
+        data.reshape(n1, n2 * n3),
+        data.transpose(1, 0, 2).reshape(n2, n1 * n3),
+        data.transpose(2, 0, 1).reshape(n3, n1 * n2),
+    )
+    a, b, c = (f.copy() for f in decomposition.factors)
+    a = a * decomposition.weights[None, :]
+    for _ in range(10):
+        previous = a
+        a = unfold[0] @ khatri_rao(b, c) @ pseudoinverse((b.T @ b) * (c.T @ c))
+        b = unfold[1] @ khatri_rao(a, c) @ pseudoinverse((a.T @ a) * (c.T @ c))
+        c = unfold[2] @ khatri_rao(a, b) @ pseudoinverse((a.T @ a) * (b.T @ b))
+        if np.linalg.norm(a - previous) <= 1e-12 * np.linalg.norm(a):
+            break
+    return CpDecomposition([a, b, c], np.ones(a.shape[1]))
 
 
 def assert_rel_close(got, ref, rel):
@@ -283,6 +306,21 @@ class TestGmmLearn:
             )
 
 
+class TestMatchColumns:
+    def test_errors_equal_the_row_loop_cost(self):
+        rng = np.random.default_rng(60)
+        for k in (1, 3, 6):
+            found = rng.standard_normal((5, k))
+            order = rng.permutation(k)
+            truth = found[:, order] + 1e-3 * rng.standard_normal((5, k))
+            perm, errors = match_columns(found, truth)
+            assert [order[j] for j in perm] == list(range(k))
+            cost = np.zeros((k, k))
+            for i in range(k):
+                cost[i] = np.linalg.norm(truth - found[:, i : i + 1], axis=0)
+            assert errors == [float(cost[i, j]) for i, j in enumerate(perm)]
+
+
 class TestStationaryDistribution:
     def test_two_state_closed_form(self):
         # P = [[1-a, b], [a, 1-b]] has stationary (b, a)/(a+b)
@@ -490,6 +528,30 @@ class TestHmmLearn:
         )
         with pytest.raises(PreconditionError):
             hmm_learn_from_moments(stripped, 2, context=2)
+
+    @pytest.mark.parametrize("context", [1, 2])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_polish_matches_the_order3_loop_bitwise(self, context, n):
+        for seed in range(3):
+            params = hmm_random_params(n, 3, seed=50 + seed, noise_scale=0.2)
+            windows = hmm_sample(params, 20_000, window=2 * context + 1, seed=seed)
+            t = hmm_empirical_moments(windows, context).tensor
+            d3, _ = jennrich_decompose(t, JennrichConfig(rank=3, seed=seed))
+            ref = _als_polish(t, d3)
+            start = [d3.factors[0] * d3.weights[None, :], *d3.factors[1:]]
+            got = CpDecomposition(_als_refine(t.data, start), np.ones(3))
+            for f, g in zip(got.factors, ref.factors):
+                assert np.array_equal(f, g)
+            assert np.array_equal(got.weights, ref.weights)
+
+    def test_weight_residual_only_where_computed(self):
+        params = hmm_random_params(3, 3, seed=39, noise_scale=0.3)
+        one = hmm_learn_from_moments(hmm_exact_moments(params, context=1), 3)
+        assert np.isfinite(one.consistency["weight_residual"])
+        two = hmm_learn_from_moments(
+            hmm_exact_moments(params, context=2), 3, context=2, noise_scale=0.3
+        )
+        assert set(two.consistency) == {"cross_moment_offdiag"}
 
     def test_label_permutation_invariance(self):
         params = hmm_random_params(4, 3, seed=41)

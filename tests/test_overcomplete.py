@@ -7,15 +7,63 @@ from tensordec import (
     FlatteningPlan,
     JennrichConfig,
     PreconditionError,
-    default_plan,
     jennrich_decompose,
     match_terms,
-    outer_product,
     overcomplete_decompose,
     smoothed_decomposition,
     synthesize,
     unflatten_rank_one,
 )
+from tensordec import tensor_core
+from tensordec.overcomplete import default_plan
+from tensordec.tensor_core import outer_product
+
+
+def _alternating_rank_one(block, max_iters=100, tol=1e-13):
+    """The rank-one fit the shared ALS replaced: normalized contractions from
+    the unfoldings' top singular vectors, kept here as the reference."""
+    g = block.ndim
+    letters = "abcdefghijklmnopqrstuvwxyz"[:g]
+    xs = []
+    for j in range(g):
+        unfold = np.moveaxis(block, j, 0).reshape(block.shape[j], -1)
+        u, _, _ = np.linalg.svd(unfold, full_matrices=False)
+        xs.append(u[:, 0])
+    for _ in range(max_iters):
+        change = 0.0
+        for j in range(g):
+            spec = (
+                letters
+                + ","
+                + ",".join(letters[i] for i in range(g) if i != j)
+                + "->"
+                + letters[j]
+            )
+            y = np.einsum(spec, block, *[xs[i] for i in range(g) if i != j])
+            y = y / np.linalg.norm(y)
+            if y @ xs[j] < 0:
+                y = -y
+            change = max(change, float(np.linalg.norm(y - xs[j])))
+            xs[j] = y
+        if change < tol:
+            break
+    spec = letters + "," + ",".join(letters) + "->"
+    xs[0] = xs[0] * float(np.einsum(spec, block, *xs))
+    return xs
+
+
+def _count_sweeps(monkeypatch, order):
+    """Calls to the ALS pseudoinverse, as a list whose length over ``order``
+    is the number of sweeps run."""
+    calls = []
+    original = tensor_core.pseudoinverse
+
+    def counted(m):
+        calls.append(1)
+        return original(m)
+
+    monkeypatch.setattr(tensor_core, "pseudoinverse", counted)
+    return lambda: len(calls) // order
 
 
 class TestFlatteningPlan:
@@ -89,6 +137,51 @@ class TestUnflattenRankOne:
         with pytest.raises(PreconditionError):
             unflatten_rank_one(np.ones(5), [2, 2])
 
+    @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
+    @pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-3, 1e-1])
+    def test_matches_the_contraction_loop(self, sizes, noise):
+        rng = np.random.default_rng(len(sizes))
+        for _ in range(10):
+            block = outer_product([rng.standard_normal(s) for s in sizes]).data
+            scale = noise * np.linalg.norm(block) / np.sqrt(block.size)
+            block = block + scale * rng.standard_normal(sizes)
+            vecs, residual = unflatten_rank_one(block.ravel(), sizes)
+            ref = _alternating_rank_one(block)
+            fit, ref_fit = outer_product(vecs).data, outer_product(ref).data
+            assert np.linalg.norm(fit - ref_fit) <= 1e-12 * np.linalg.norm(block)
+            ref_residual = np.linalg.norm(block - ref_fit) / np.linalg.norm(block)
+            assert residual == pytest.approx(ref_residual, rel=1e-9, abs=1e-14)
+            # the scale rides on the first vector, the others are unit
+            assert np.allclose([np.linalg.norm(v) for v in vecs[1:]], 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
+    def test_exact_block_takes_one_sweep(self, monkeypatch, sizes):
+        rng = np.random.default_rng(3)
+        block = outer_product([rng.standard_normal(s) for s in sizes]).data
+        sweeps = _count_sweeps(monkeypatch, len(sizes))
+        _, residual = unflatten_rank_one(block.ravel(), sizes)
+        assert residual <= 1e-14
+        assert sweeps() == 1
+
+    def test_collapsed_fit_stays_finite(self):
+        # e1(x)e2(x)e1 + e2(x)e1(x)e2: the start's directions contract the
+        # block to zero, so every factor collapses and none may be divided
+        e1, e2 = np.eye(2)
+        block = outer_product([e1, e2, e1]).data + outer_product([e2, e1, e2]).data
+        vecs, residual = unflatten_rank_one(block.ravel(), [2, 2, 2])
+        assert all(np.all(np.isfinite(v)) for v in vecs)
+        assert residual <= 1.0
+
+    def test_noisy_block_sweeps_until_settled(self, monkeypatch):
+        # the start's scaled first vector is a separate estimate from its
+        # first update, so the stop test only fires once the fit settles
+        rng = np.random.default_rng(4)
+        block = outer_product([rng.standard_normal(s) for s in (3, 3, 3)]).data
+        block = block + 1e-2 * rng.standard_normal((3, 3, 3))
+        sweeps = _count_sweeps(monkeypatch, 3)
+        unflatten_rank_one(block.ravel(), [3, 3, 3])
+        assert 1 < sweeps() < tensor_core._POLISH_SWEEPS
+
 
 class TestOvercompleteDecompose:
     def test_rank_one_order5(self):
@@ -136,6 +229,15 @@ class TestOvercompleteDecompose:
         plan = FlatteningPlan(order=4, groups=((0,), (1,), (2, 3)))
         with pytest.raises(PreconditionError):
             overcomplete_decompose(synthesize(truth), plan=plan)
+
+    def test_three_mode_groups_order7(self):
+        truth = smoothed_decomposition((3,) * 7, 8, rho=0.5, seed=0)
+        t = synthesize(truth)
+        assert default_plan(t.shape).groups == ((0, 1, 2), (3, 4, 5), (6,))
+        found, report = overcomplete_decompose(t)
+        assert match_terms(found, truth).max_error < 1e-10
+        assert report.suspect_terms == []
+        assert max(report.unflatten_residuals) < 1e-10
 
     def test_report_carries_unflatten_residuals(self):
         truth = smoothed_decomposition((4, 4, 4, 4, 4), 6, rho=0.5, seed=9)

@@ -14,10 +14,9 @@ from tensordec import (
     derive_rng,
     khatri_rao,
     kr_sigma_experiment,
-    perturb_matrix,
     projection_experiment,
-    rotation_pair_basis,
 )
+from tensordec.smoothed_lab import perturb_matrix, rotation_pair_basis
 from tensordec import smoothed_lab
 from tensordec.seeding import TAG_LAB
 

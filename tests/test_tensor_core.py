@@ -12,20 +12,23 @@ from tensordec import (
     FormatError,
     PreconditionError,
     border_rank_fixture,
-    decomposition_from_dict,
     decomposition_to_dict,
     flatten_to_order3,
     frobenius_norm,
     khatri_rao,
-    outer_product,
     read_decomposition,
     read_tnsr,
     slice_combination,
     synthesize,
+)
+from tensordec import tensor_core
+from tensordec.tensor_core import (
+    decomposition_from_dict,
+    outer_product,
+    tnsr_bytes,
     write_decomposition,
     write_tnsr,
 )
-from tensordec.tensor_core import tnsr_bytes
 
 
 class TestDenseTensor:
@@ -237,6 +240,34 @@ class TestKhatriRao:
     def test_empty(self):
         out = khatri_rao(np.zeros((2, 0)), np.zeros((3, 0)))
         assert out.shape == (6, 0)
+
+
+class TestAlsRefine:
+    @pytest.mark.parametrize("shape", [(4, 5, 3), (3, 4, 3, 2)])
+    def test_exact_start_takes_one_sweep(self, monkeypatch, shape):
+        rng = np.random.default_rng(7)
+        factors = [rng.standard_normal((n, 3)) for n in shape]
+        data = synthesize(CpDecomposition(factors, np.ones(3))).data
+        calls = []
+        original = tensor_core.pseudoinverse
+        monkeypatch.setattr(
+            tensor_core, "pseudoinverse", lambda m: calls.append(1) or original(m)
+        )
+        refined = tensor_core._als_refine(data, factors)
+        assert len(calls) == len(shape)
+        for f, g in zip(refined, factors):
+            assert np.allclose(f, g, rtol=0, atol=1e-12)
+
+    def test_perturbed_start_moves_toward_the_exact_fit(self):
+        rng = np.random.default_rng(8)
+        factors = [rng.standard_normal((n, 2)) for n in (4, 3, 5)]
+        data = synthesize(CpDecomposition(factors, np.ones(2))).data
+        start = [f + 1e-4 * rng.standard_normal(f.shape) for f in factors]
+
+        def misfit(fs):
+            return np.linalg.norm(synthesize(CpDecomposition(fs, np.ones(2))).data - data)
+
+        assert misfit(tensor_core._als_refine(data, start)) < 1e-2 * misfit(start)
 
 
 class TestFlattenToOrder3:
