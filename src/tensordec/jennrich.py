@@ -25,8 +25,6 @@ degenerate inputs.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import DegeneracyError, PreconditionError
 from .matrix_ops import condition_number, eig_nonsymmetric, pseudoinverse, truncated_svd
@@ -191,31 +189,74 @@ def jennrich_decompose(t, config=None):
     )
 
 
+def _perfect_matching(choices):
+    """Perfect matching of rows to columns, or None if there is none.
+
+    ``choices[i]`` lists the columns row i may take, in the order it tries
+    them. Rows are matched in index order, each by the first augmenting
+    path that a depth-first search finds through its choices in that order
+    (Kuhn's algorithm). The search keeps its own stack, so a path as long
+    as the matrix needs no recursion. Returns the column of each row.
+    """
+    k = len(choices)
+    row_of = [-1] * k        # row holding each column, -1 if free
+    col_of = [-1] * k
+    seen_by = [-1] * k       # last root whose search reached each column
+    for root in range(k):
+        rows, cols, tries = [root], [], [iter(choices[root])]
+        while tries:
+            for col in tries[-1]:
+                if seen_by[col] != root:
+                    seen_by[col] = root
+                    break
+            else:
+                # dead end: back to the row that led here, if any
+                rows.pop()
+                tries.pop()
+                del cols[-1:]
+                continue
+            cols.append(col)
+            if row_of[col] < 0:
+                for row, c in zip(rows, cols):
+                    row_of[c] = row
+                    col_of[row] = c
+                break
+            rows.append(row_of[col])
+            tries.append(iter(choices[row_of[col]]))
+        else:
+            return None
+    return col_of
+
+
 def _bottleneck_assignment(cost):
     """Perfect matching minimizing the maximum edge cost.
 
     Binary search over the sorted edge costs; feasibility at a threshold is
-    a bipartite matching problem. Returns (the column matched to each row,
-    the cost of each matched pair, the bottleneck value).
+    a perfect matching on the pairs costing at most that much. Ties among
+    optimal matchings go by a fixed rule: rows join the matching in index
+    order, each along the first augmenting path found by trying its columns
+    from cheapest to dearest, lower index first among equal costs. Returns
+    (the column matched to each row, the cost of each matched pair, the
+    bottleneck value).
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.shape[0] == 0:
         return [], [], 0.0
+    order = np.argsort(cost, axis=1, kind="stable")
     levels = np.unique(cost)
     lo, hi = 0, levels.size - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        graph = csr_matrix(cost <= levels[mid])
-        match = maximum_bipartite_matching(graph, perm_type="column")
-        if np.all(match >= 0):
+        allowed = np.count_nonzero(cost <= levels[mid], axis=1)
+        match = _perfect_matching([o[:n].tolist() for o, n in zip(order, allowed)])
+        if match is not None:
             best = match
             hi = mid - 1
         else:
             lo = mid + 1
-    perm = [int(j) for j in best]
-    errors = [float(cost[i, j]) for i, j in enumerate(perm)]
-    return perm, errors, max(errors)
+    errors = [float(cost[i, j]) for i, j in enumerate(best)]
+    return best, errors, max(errors)
 
 
 def match_terms(found, truth):

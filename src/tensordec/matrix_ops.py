@@ -1,15 +1,14 @@
 """Thin, contract-checked wrappers around the dense linear algebra kernels.
 
-Everything here defers the numerics to LAPACK via numpy/scipy; the value
-added is fixed conventions (a relative rank cutoff, unit eigenvectors) and
-the leave-one-out distance, which is a column-wise projection quantity
-rather than a stock kernel.
+Everything here defers the numerics to LAPACK via numpy; the value added is
+fixed conventions (relative rank cutoffs, unit eigenvectors) and the
+leave-one-out distance, which is a column-wise projection quantity rather
+than a stock kernel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import PreconditionError
 
@@ -42,6 +41,21 @@ def truncated_svd(m):
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     r = int(np.count_nonzero(s > _RANK_RTOL * s[0]))
     return u[:, :r], s[:r], vh[:r]
+
+
+def _basis_rank(s, shape):
+    """Count of singular values above ``max(s) * eps * max(shape)``, the
+    cutoff of SciPy's ``null_space`` and ``orth``."""
+    tol = np.amax(s, initial=0.0) * (np.finfo(np.float64).eps * max(shape))
+    return int(np.count_nonzero(s > tol))
+
+
+def _null_space(a):
+    """Orthonormal basis of the null space of ``a``, one column per
+    singular direction at or below the :func:`_basis_rank` cutoff."""
+    a = _as_matrix(a, "null_space")
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_basis_rank(s, a.shape) :].T
 
 
 def pseudoinverse(m):
@@ -96,7 +110,8 @@ def leave_one_out(m):
             dist = float(np.linalg.norm(col))
         else:
             rest = np.delete(m, i, axis=1)
-            basis = scipy.linalg.orth(rest)
+            u, s, _ = np.linalg.svd(rest, full_matrices=False)
+            basis = u[:, : _basis_rank(s, rest.shape)]
             if basis.shape[1] == 0:
                 dist = float(np.linalg.norm(col))
             else:

@@ -24,7 +24,6 @@ and the center-future cross moment, both estimated from the same windows.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, PreconditionError
 from .jennrich import (
@@ -33,11 +32,17 @@ from .jennrich import (
     _bottleneck_assignment,
     jennrich_decompose,
 )
-from .matrix_ops import pseudoinverse
+from .matrix_ops import _null_space, pseudoinverse
 from .overcomplete import overcomplete_decompose
 from .power_method import PowerConfig, _whitening_maps, deflate_decompose, whiten
 from .seeding import TAG_SAMPLER, derive_rng, fill_blocks
-from .tensor_core import CpDecomposition, DenseTensor, _als_refine, khatri_rao
+from .tensor_core import (
+    CpDecomposition,
+    DenseTensor,
+    _als_refine,
+    khatri_rao,
+    synthesize,
+)
 
 _MOMENT_BLOCK = 100_000
 # Rows per GEMM in _third_moment: bounds its temporary (8 MiB at n = 16) and
@@ -77,7 +82,7 @@ class GmmParams:
 def stationary_distribution(p):
     """Stationary vector of a column-stochastic matrix (unique chain only)."""
     p = np.asarray(p, dtype=np.float64)
-    null = scipy.linalg.null_space(p - np.eye(p.shape[0]))
+    null = _null_space(p - np.eye(p.shape[0]))
     if null.shape[1] != 1:
         raise PreconditionError(
             "transition matrix does not have a unique stationary distribution"
@@ -544,6 +549,11 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
     stationary estimate are projected back to the simplex. For context
     above 1 the transition is out of reach here; the center second moment
     (minus ``noise_scale**2 I``) closes the scale system instead.
+
+    ``consistency`` holds ``cross_moment_offdiag``, the off-diagonal share
+    of the center-future cross moment in the recovered directions, and
+    ``fit_residual``, the relative Frobenius error of the polished terms
+    against the window tensor.
     """
     k = int(k)
     context = int(context)
@@ -565,6 +575,8 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
     consistency = {
         "cross_moment_offdiag": float(np.linalg.norm(off_diag))
         / max(float(np.linalg.norm(mixed)), 1e-300),
+        "fit_residual": float(np.linalg.norm(t.data - synthesize(d3).data))
+        / max(float(np.linalg.norm(t.data)), 1e-300),
     }
     if np.min(np.abs(d_vec)) < 1e-12 * max(np.max(np.abs(d_vec)), 1e-300):
         raise DegeneracyError(
@@ -586,13 +598,6 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
         transition = (e_mat * gamma[None, :]) / beta[:, None]
         transition = np.column_stack(
             [_to_simplex(transition[:, j], f"transition column {j}") for j in range(k)]
-        )
-        # The decomposition weights should equal w * |alpha beta gamma|
-        # with alpha the left-mode scale; report the relative spread of the
-        # implied alpha column sums as a sanity number.
-        alpha = d3.weights / (w_raw * beta * gamma)
-        consistency["weight_residual"] = float(
-            np.max(np.abs(alpha)) / max(np.min(np.abs(alpha)), 1e-300) - 1.0
         )
     else:
         if moments.center_second is None:

@@ -87,7 +87,9 @@ def unflatten_rank_one(v, mode_sizes):
     Two modes are solved exactly by a truncated SVD. Three or more use the
     package's ALS refinement at rank one, started from each unfolding's top
     left singular vector with the fitted scale on the first, so an exact
-    rank-one input stops after one sweep.
+    rank-one input stops after one sweep. Where that start fits a scale of
+    exactly zero, the fibres through the largest-magnitude entry start it
+    instead.
     """
     v = np.asarray(v, dtype=np.float64)
     sizes = [int(s) for s in mode_sizes]
@@ -114,7 +116,17 @@ def unflatten_rank_one(v, mode_sizes):
         return vectors, residual
     unfoldings = (np.moveaxis(block, j, 0).reshape(n, -1) for j, n in enumerate(sizes))
     start = [np.linalg.svd(m, full_matrices=False)[0][:, 0] for m in unfoldings]
-    start[0] = start[0] * float(np.vdot(block, _outer(start)))
+    scale = float(np.vdot(block, _outer(start)))
+    if scale == 0.0:
+        # Tied top singular vectors can contract the block to zero, a start
+        # ALS never leaves; start from the fibres through the largest entry.
+        peak = np.unravel_index(np.argmax(np.abs(block)), block.shape)
+        start = []
+        for j in range(block.ndim):
+            fibre = block[peak[:j] + (slice(None),) + peak[j + 1 :]]
+            start.append(fibre / np.linalg.norm(fibre))
+        scale = float(np.vdot(block, _outer(start)))
+    start[0] = start[0] * scale
     fitted = [f[:, 0] for f in _als_refine(block, [x[:, None] for x in start])]
     norms = [float(np.linalg.norm(f)) or 1.0 for f in fitted[1:]]
     vectors = [fitted[0] * math.prod(norms)]

@@ -20,9 +20,9 @@ thread pool over blocks of trials cannot change any number.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneracyError, PreconditionError
+from .matrix_ops import _null_space
 from .seeding import TAG_LAB, derive_rng, fill_blocks
 from .tensor_core import khatri_rao
 
@@ -367,7 +367,7 @@ def build_pivot_basis(basis):
         if b.shape[1] == 1:
             b = np.zeros((n, 0))
             break
-        null = scipy.linalg.null_space(b[row : row + 1, :])
+        null = _null_space(b[row : row + 1, :])
         b = b @ null
     return PivotBasis(vectors=np.column_stack(vectors), pivots=tuple(pivots))
 
@@ -453,7 +453,7 @@ def build_pivot_basis_l2(basis, n):
             tuple(flat.vectors[:, j].reshape(n, n).copy() for j in keep)
         )
         row_coords = b[best_row * n : (best_row + 1) * n, :]
-        null = scipy.linalg.null_space(row_coords)
+        null = _null_space(row_coords)
         if null.shape[1] == 0:
             break
         b = b @ null

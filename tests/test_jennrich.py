@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from tensordec import (
     CpDecomposition,
@@ -186,15 +188,18 @@ class TestCore:
         assert all(c.shape == (5, 5) for c in seen)
 
     def test_import_skips_scipy_optimize(self):
-        # the pairing was the package's only scipy.optimize use
+        # numpy is the only runtime dependency: no scipy module at all
         src = os.path.dirname(os.path.dirname(os.path.abspath(jennrich.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, tensordec.cli; print('scipy.optimize' in sys.modules)"
+        code = (
+            "import sys, tensordec.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, timeout=120, check=True,
         )
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 def _phase_aligned_real_loop(columns):
@@ -277,3 +282,83 @@ class TestMatchTerms:
         report = match_terms(found, truth)
         # the bottleneck assignment pairs the mixed term with truth 0
         assert report.permutation == [0, 1]
+
+
+def _scipy_bottleneck(cost):
+    """Reference: the same binary search, with SciPy's bipartite matching."""
+    levels = np.unique(cost)
+    lo, hi = 0, levels.size - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        match = maximum_bipartite_matching(
+            csr_matrix(cost <= levels[mid]), perm_type="column"
+        )
+        if np.all(match >= 0):
+            best, hi = match, mid - 1
+        else:
+            lo = mid + 1
+    return [int(j) for j in best], float(max(cost[i, j] for i, j in enumerate(best)))
+
+
+def _only_perfect_matching(allowed, perm):
+    """True when ``perm`` is the one perfect matching inside ``allowed``:
+    dropping any of its pairs must leave no perfect matching."""
+    for i, j in enumerate(perm):
+        rest = allowed.copy()
+        rest[i, j] = False
+        match = maximum_bipartite_matching(csr_matrix(rest), perm_type="column")
+        if np.all(match >= 0):
+            return False
+    return True
+
+
+class TestBottleneckAssignment:
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 32, 64])
+    def test_matches_scipy_reference(self, k):
+        rng = np.random.default_rng(100 + k)
+        for trial in range(20):
+            cost = rng.random((k, k))
+            if trial % 2:
+                cost = np.round(cost * 4) / 4  # ties
+            perm, errors, bottleneck = jennrich._bottleneck_assignment(cost)
+            ref_perm, ref_bottleneck = _scipy_bottleneck(cost)
+            assert bottleneck == ref_bottleneck
+            assert sorted(perm) == list(range(k))
+            assert errors == [float(cost[i, j]) for i, j in enumerate(perm)]
+            assert max(errors) == bottleneck
+            if _only_perfect_matching(cost <= bottleneck, perm):
+                assert perm == ref_perm
+        # a planted matching below every other pair is the unique optimum
+        planted = rng.permutation(k).tolist()
+        cost = 1.0 + rng.random((k, k))
+        cost[np.arange(k), planted] = rng.random(k)
+        assert jennrich._bottleneck_assignment(cost)[0] == planted
+        assert _scipy_bottleneck(cost)[0] == planted
+
+    def test_tie_rule_tries_cheapest_column_first(self):
+        # Row 2 forces the bottleneck to 0.5; below it both ways of pairing
+        # rows 0 and 1 are optimal, and each row's cheapest column decides.
+        cross = np.array([[0.3, 0.1, 9.0], [0.1, 0.3, 9.0], [9.0, 9.0, 0.5]])
+        assert jennrich._bottleneck_assignment(cross)[0] == [1, 0, 2]
+        straight = np.array([[0.1, 0.3, 9.0], [0.3, 0.1, 9.0], [9.0, 9.0, 0.5]])
+        assert jennrich._bottleneck_assignment(straight)[0] == [0, 1, 2]
+
+    def test_tie_rule_takes_lower_index_among_equal_costs(self):
+        # Every matching is optimal. Row 0 takes column 0; row 1 takes column
+        # 0 too by displacing row 0 to column 1, the next column it tries.
+        assert jennrich._bottleneck_assignment(np.zeros((2, 2)))[0] == [1, 0]
+        assert jennrich._bottleneck_assignment(np.zeros((4, 4)))[0] == [3, 2, 1, 0]
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # Row i prefers column i, then i + 1; the last row can only take
+        # column 0, so its augmenting path runs through every row.
+        k = 1200
+        cost = np.full((k, k), 2.0)
+        rows = np.arange(k - 1)
+        cost[rows, rows] = 0.0
+        cost[rows, rows + 1] = 1.0
+        cost[k - 1, 0] = 1.0
+        perm, _, bottleneck = jennrich._bottleneck_assignment(cost)
+        assert bottleneck == 1.0
+        assert perm == list(range(1, k)) + [0]

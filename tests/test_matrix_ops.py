@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tensordec import (
     PreconditionError,
@@ -10,6 +11,7 @@ from tensordec import (
     leave_one_out,
     pseudoinverse,
 )
+from tensordec.matrix_ops import _basis_rank, _null_space
 
 
 class TestPseudoinverse:
@@ -112,3 +114,61 @@ class TestLeaveOneOut:
             assert ell / np.sqrt(3) <= smin + 1e-12
             assert smin <= ell + 1e-12
 
+
+
+def _shaped_matrices(seed):
+    """Random square, wide and tall matrices, each also at one rank below
+    full, plus the zero matrix."""
+    rng = np.random.default_rng(seed)
+    out = [np.zeros((3, 4))]
+    for m, n in [(1, 1), (1, 5), (5, 1), (6, 6), (4, 9), (9, 4), (16, 3), (3, 16)]:
+        out.append(rng.standard_normal((m, n)))
+        r = min(m, n) - 1
+        if r >= 1:
+            out.append(rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+    return out
+
+
+class TestSvdBases:
+    """The numpy bases use SciPy's rank rule and give SciPy's bytes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_null_space_matches_scipy(self, seed):
+        for a in _shaped_matrices(seed):
+            got = _null_space(a)
+            want = scipy.linalg.null_space(a)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_range_basis_matches_scipy_orth(self, seed):
+        # the basis leave_one_out projects onto
+        for a in _shaped_matrices(seed):
+            u, s, _ = np.linalg.svd(a, full_matrices=False)
+            got = u[:, : _basis_rank(s, a.shape)]
+            want = scipy.linalg.orth(a)
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_leave_one_out_matches_orth_projection(self):
+        # Same basis as SciPy's orth; only the layout of the projection's
+        # matrix-vector products differs, so agree to rounding.
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n, k = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+            m = rng.standard_normal((max(n, k), k))
+            if trial % 2:
+                m[:, -1] = m[:, :-1] @ rng.standard_normal(k - 1)
+            best = np.inf
+            for i in range(k):
+                basis = scipy.linalg.orth(np.delete(m, i, axis=1))
+                col = m[:, i]
+                best = min(best, np.linalg.norm(col - basis @ (basis.T @ col)))
+            eps = np.finfo(np.float64).eps
+            assert leave_one_out(m) == pytest.approx(
+                best, rel=64 * eps, abs=64 * eps * np.linalg.norm(m)
+            )
+
+    def test_null_space_rejects_non_finite(self):
+        with pytest.raises(PreconditionError):
+            _null_space(np.array([[1.0, np.nan]]))

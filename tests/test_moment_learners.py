@@ -362,6 +362,10 @@ class TestHmmParams:
         w = params.stationary
         assert np.allclose(rev * w[None, :], (params.transition * w[None, :]).T)
 
+    def test_from_transition_rejects_non_finite(self):
+        with pytest.raises(PreconditionError):
+            HmmParams.from_transition(np.array([[np.nan, 0.3], [0.3, 0.7]]), np.eye(2))
+
     def test_from_transition_computes_stationary(self):
         p = np.array([[0.8, 0.4], [0.2, 0.6]])
         params = HmmParams.from_transition(p, np.eye(2))
@@ -544,14 +548,16 @@ class TestHmmLearn:
                 assert np.array_equal(f, g)
             assert np.array_equal(got.weights, ref.weights)
 
-    def test_weight_residual_only_where_computed(self):
+    def test_fit_residual_at_every_context(self):
+        # exact moments are fitted exactly, whatever the context
         params = hmm_random_params(3, 3, seed=39, noise_scale=0.3)
         one = hmm_learn_from_moments(hmm_exact_moments(params, context=1), 3)
-        assert np.isfinite(one.consistency["weight_residual"])
         two = hmm_learn_from_moments(
             hmm_exact_moments(params, context=2), 3, context=2, noise_scale=0.3
         )
-        assert set(two.consistency) == {"cross_moment_offdiag"}
+        for result in (one, two):
+            assert set(result.consistency) == {"cross_moment_offdiag", "fit_residual"}
+            assert 0.0 <= result.consistency["fit_residual"] <= 1e-10
 
     def test_label_permutation_invariance(self):
         params = hmm_random_params(4, 3, seed=41)

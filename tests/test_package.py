@@ -1,7 +1,11 @@
 """The package's public surface: every exported name resolves and has a user."""
 
+import ast
 import pathlib
 import re
+import sys
+
+import pytest
 
 import tensordec
 
@@ -33,3 +37,21 @@ def test_every_exported_function_has_a_documented_user():
         and not re.search(rf"\b{name}\b", text)
     ]
     assert unused == []
+
+
+def test_runtime_dependencies_match_imports():
+    # [project].dependencies names exactly the third-party modules that the
+    # package imports, so a new import cannot ship without its dependency
+    tomllib = pytest.importorskip("tomllib")
+    with open(_ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in declared}
+    imported = set()
+    for path in sorted((_ROOT / "src" / "tensordec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"tensordec"}
+    assert third_party == declared
