@@ -31,7 +31,7 @@ _RESTARTS = 10
 
 @dataclass(frozen=True)
 class PowerConfig:
-    """Seed of the random starts of :func:`deflate_decompose`."""
+    """Seed of the one ``(seed, TAG_POWER)`` stream of a deflate_decompose call."""
 
     seed: int = 0
 
@@ -106,16 +106,16 @@ def _contract(arr, z):
 def deflate_decompose(t, k, config=None):
     """Recover k terms of a symmetric tensor by iterated deflation.
 
-    Each round starts 10 power iterations on the current residual tensor
-    and advances them together, one contraction of all of them per step;
-    each run stops on its own, when its step falls below 1e-12, and is
-    dropped when its contraction vanishes or it has not converged after
-    500 steps. The converged run with the largest ``|lambda|`` wins (the
-    first such run on a tie); its term is subtracted and the next round
-    begins. Returns ``(decomposition, residual_frobenius_norm)`` with terms
-    sorted by ``|lambda|`` descending; lambdas are reported nonnegative,
-    the sign folding into the vector. Raises DegeneracyError when a round
-    has no converged run.
+    Each round draws its 10 unit starts as one (n, 10) block of the call's
+    one ``(config.seed, TAG_POWER)`` stream and advances them together, one
+    contraction of all of them per step; each run stops on its own, when
+    its step falls below 1e-12, and is dropped when its contraction
+    vanishes or it has not converged after 500 steps. The converged run
+    with the largest ``|lambda|`` wins (the first on a tie); its term is
+    subtracted and the next round begins. Returns ``(decomposition,
+    residual_frobenius_norm)`` with terms sorted by ``|lambda|``
+    descending; lambdas are reported nonnegative, the sign folding into
+    the vector. Raises DegeneracyError when a round has no converged run.
     """
     cfg = config or PowerConfig()
     arr = _require_symmetric(t).copy()
@@ -123,14 +123,12 @@ def deflate_decompose(t, k, config=None):
     n = arr.shape[0]
     if k < 0 or k > n:
         raise PreconditionError(f"k must lie in [0, {n}], got {k}")
+    rng = derive_rng(cfg.seed, TAG_POWER)
     lambdas = []
     vectors = []
     for round_idx in range(k):
-        starts = []
-        for restart in range(_RESTARTS):
-            z0 = derive_rng(cfg.seed, TAG_POWER, round_idx, restart).standard_normal(n)
-            starts.append(z0 / np.linalg.norm(z0))
-        z = np.column_stack(starts)
+        z = rng.standard_normal((n, _RESTARTS))
+        z /= np.linalg.norm(z, axis=0)
         running = np.ones(_RESTARTS, dtype=bool)
         converged = np.zeros(_RESTARTS, dtype=bool)
         for _ in range(_MAX_ITERS):

@@ -91,7 +91,9 @@ def _trial_values(one_trial, trials, seed, mapper):
     Raises PreconditionError when a trial overflows to a non-finite value."""
     def fill(block, rows):
         first = block * _TRIAL_BLOCK + 1
-        rows[:] = [one_trial(derive_rng(seed, TAG_LAB, first + i)) for i in range(len(rows))]
+        # errstate is per thread; the finiteness check below reports overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows[:] = [one_trial(derive_rng(seed, TAG_LAB, first + i)) for i in range(len(rows))]
 
     values = fill_blocks(np.empty(trials), _TRIAL_BLOCK, fill, mapper)
     if not np.all(np.isfinite(values)):

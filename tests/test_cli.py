@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ class TestDecompose:
         assert code == 0
         report = read_json(out / "report.json")
         assert report["deflation_residual"] < 1e-9
+
+    def test_power_method_repeats_bytes(self, tmp_path):
+        from tensordec import DenseTensor, random_orthogonal_symmetric
+
+        truth = random_orthogonal_symmetric(16, 8, seed=3)
+        basis = truth.factors[0]
+        write_tnsr(str(tmp_path / "t.tnsr"), synthesize(truth))
+        write_tnsr(str(tmp_path / "m2.tnsr"),
+                   DenseTensor(basis * truth.weights @ basis.T))
+        for extra in ([], ["--whiten", str(tmp_path / "m2.tnsr")]):
+            primary = []
+            for rep in ("a", "b"):
+                code, out = run(tmp_path / rep, "decompose",
+                                "--input", str(tmp_path / "t.tnsr"),
+                                "--method", "power", "--rank", "8",
+                                "--seed", "4", *extra)
+                assert code == 0
+                primary.append({p.name: p.read_bytes() for p in out.iterdir()
+                                if p.name != "manifest.json"})
+            assert primary[0] == primary[1]
 
     def test_power_requires_rank(self, tmp_path):
         _, synth_out = run(tmp_path / "s", "synth", "--shape", "4,4,4",
@@ -333,11 +354,19 @@ class TestLab:
         assert not out.exists()
 
     def test_overflowing_trials_exit_4(self, tmp_path):
-        # rho^2 fits in float64, but the perturbed rank-one tensors do not
-        code, out = run(tmp_path, "lab", "projection", "--n", "4", "--l", "2",
-                        "--delta", "0.5", "--rho", "1e154", "--trials", "3")
-        assert code == 4
-        assert not out.exists()
+        # rho^2 fits in float64, but the perturbed rank-one tensors do not;
+        # the finiteness check reports it, with no numpy warning, also when
+        # a pool thread runs the trials
+        for threads in ("1", "2"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out = run(tmp_path / threads, "lab", "projection",
+                                "--n", "4", "--l", "2", "--delta", "0.5",
+                                "--rho", "1e154", "--trials", "3",
+                                "--threads", threads)
+            assert code == 4
+            assert not out.exists()
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_kr_chain_over_budget_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)

@@ -51,15 +51,19 @@ def _reference_run(arr, z, max_iters):
 
 def _reference_decompose(t, k, seed=0, max_iters=500):
     """Reference for the lockstep rounds: the restarts of each round run one
-    after another. Returns ``(lambdas, vectors, residual, steps per round)``."""
+    after another, from the columns of the round's (n, 10) block of the
+    call's one ``(seed, TAG_POWER)`` stream.
+    Returns ``(lambdas, vectors, residual, steps per round)``."""
     arr = t.data.copy()
     n = arr.shape[0]
+    rng = derive_rng(seed, TAG_POWER)
     lambdas, vectors, round_steps = [], [], []
-    for round_idx in range(k):
+    for _ in range(k):
+        block = rng.standard_normal((n, 10))
         best = None
         steps = []
         for restart in range(10):
-            z0 = derive_rng(seed, TAG_POWER, round_idx, restart).standard_normal(n)
+            z0 = block[:, restart]
             z, converged, used = _reference_run(arr, z0 / np.linalg.norm(z0), max_iters)
             steps.append(used)
             if not converged:
@@ -229,6 +233,31 @@ class TestLockstepRestarts:
         assert set(calls) == {10}
         assert max(steps) <= len(calls) <= max(steps) + 2
         assert len(calls) < sum(steps) / 4
+
+
+class TestOneStreamPerCall:
+    """All restarts of a call come from one generator."""
+
+    def test_one_generator_per_call(self, monkeypatch):
+        made = []
+        derive = power_method.derive_rng
+
+        def counting(*key):
+            made.append(key)
+            return derive(*key)
+
+        monkeypatch.setattr(power_method, "derive_rng", counting)
+        t = synthesize(random_orthogonal_symmetric(16, 8, seed=25))
+        deflate_decompose(t, 8, PowerConfig(seed=6))
+        assert made == [(6, TAG_POWER)]
+
+    def test_same_seed_same_bytes(self):
+        t = synthesize(random_orthogonal_symmetric(16, 8, seed=26))
+        od_a, res_a = deflate_decompose(t, 8, PowerConfig(seed=7))
+        od_b, res_b = deflate_decompose(t, 8, PowerConfig(seed=7))
+        assert od_a.lambdas.tobytes() == od_b.lambdas.tobytes()
+        assert od_a.vectors.tobytes() == od_b.vectors.tobytes()
+        assert res_a == res_b
 
 
 class TestWhiten:
