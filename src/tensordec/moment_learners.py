@@ -188,14 +188,18 @@ def gmm_sample(params, n_samples, seed=0, mapper=map):
 
 def _third_moment(a, b, c):
     """``E[a (x) b (x) c]`` over the rows: for each fixed block of rows, in
-    order, one GEMM ``(a (x) b)^T c`` into a single accumulator."""
+    order, one GEMM ``(a (x) b)^T c`` into a single accumulator. The product
+    is formed from contiguous (width, rows) transposes, so its broadcast
+    loops over the rows, not over a few-wide inner axis."""
     n_rows = a.shape[0]
     width = a.shape[1] * b.shape[1]
     acc = np.zeros((width, c.shape[1]))
     for start in range(0, n_rows, _PRODUCT_BLOCK):
         rows = slice(start, start + _PRODUCT_BLOCK)
-        ab = (a[rows, :, None] * b[rows, None, :]).reshape(-1, width)
-        acc += ab.T @ c[rows]
+        at = np.ascontiguousarray(a[rows].T)
+        bt = np.ascontiguousarray(b[rows].T)
+        ab_t = (at[:, None, :] * bt[None, :, :]).reshape(width, -1)
+        acc += ab_t @ c[rows]
     return acc.reshape(a.shape[1], b.shape[1], c.shape[1]) / n_rows
 
 

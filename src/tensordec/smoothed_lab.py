@@ -27,9 +27,11 @@ from .seeding import TAG_LAB, derive_rng, fill_blocks
 from .tensor_core import khatri_rao
 
 _PIVOT_EMPTY_TOL = 1e-10
-# Trials per pool task: one trial (about 0.1 ms) costs less than a hand-off.
+# Trials per pool task. Each block gets its values from one stacked LAPACK or
+# BLAS call, which releases the GIL, so the blocks of a pool run in parallel.
 _TRIAL_BLOCK = 64
-# Largest Khatri-Rao chain, n^order * k entries, one trial may build (32 MiB).
+# Largest Khatri-Rao chain, n^order * k entries, one trial may build (32 MiB);
+# it also bounds the entries of the chains one stacked SVD holds.
 _KR_ELEMENT_BUDGET = 2**22
 _DEFAULT_C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
 
@@ -81,19 +83,22 @@ def _kr_chain(mats):
     return out
 
 
-def _sigma_k(matrix, k):
-    return float(np.linalg.svd(matrix, compute_uv=False)[k - 1])
-
-
-def _trial_values(one_trial, trials, seed, mapper):
-    """``one_trial(rng)`` for each trial t < trials on derived stream t + 1
-    (stream 0 is the set-up's), given to ``mapper`` in blocks of _TRIAL_BLOCK.
-    Raises PreconditionError when a trial overflows to a non-finite value."""
+def _trial_values(draw, evaluate, trials, seed, mapper, stack=_TRIAL_BLOCK):
+    """Trial t < trials turns derived stream t + 1 (stream 0 is the set-up's)
+    into its input ``draw(rng)``; ``evaluate`` maps a stack of inputs to their
+    values in one call. Blocks of _TRIAL_BLOCK trials go to ``mapper``, and
+    each stacks at most ``stack`` inputs per call. Raises PreconditionError
+    when a trial overflows to a non-finite value."""
     def fill(block, rows):
         first = block * _TRIAL_BLOCK + 1
         # errstate is per thread; the finiteness check below reports overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            rows[:] = [one_trial(derive_rng(seed, TAG_LAB, first + i)) for i in range(len(rows))]
+            for start in range(0, len(rows), stack):
+                part = rows[start : start + stack]
+                part[:] = evaluate(np.stack([
+                    draw(derive_rng(seed, TAG_LAB, first + start + i))
+                    for i in range(len(part))
+                ]))
 
     values = fill_blocks(np.empty(trials), _TRIAL_BLOCK, fill, mapper)
     if not np.all(np.isfinite(values)):
@@ -147,8 +152,9 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     alongside the perturbed samples. The fraction of trials below
     c * rho^order / n^order is reported over a log-spaced grid of c.
     Trials draw from per-trial derived streams and go to ``mapper`` in
-    fixed blocks, so it may be the map of a thread pool. A chain of more
-    than 2^22 entries (n^order * k) is rejected.
+    fixed blocks, so it may be the map of a thread pool; each block takes
+    its values from one stacked SVD. A chain of more than 2^22 entries
+    (n^order * k) is rejected.
     """
     n, k, order, trials = int(n), int(k), int(order), int(trials)
     if n < 1 or k < 1 or order < 1 or trials < 1:
@@ -164,6 +170,10 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         )
     rho = float(rho)
     scale = _rho_power(rho, order) / n**order
+
+    def sigma_k(chains):
+        return np.linalg.svd(chains, compute_uv=False)[:, k - 1]
+
     if base == "zero":
         bases = [np.zeros((n, k)) for _ in range(order)]
         unperturbed = None
@@ -174,15 +184,16 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
             raise PreconditionError("the adversarial base needs k = 2n")
         u = np.column_stack([np.eye(n), rotation_pair_basis(n)])
         bases = [u, u]
-        unperturbed = _sigma_k(_kr_chain(bases), k)
+        unperturbed = float(sigma_k(_kr_chain(bases)[None])[0])
     else:
         raise PreconditionError(f"unknown base {base!r}")
 
-    def one_trial(rng):
-        mats = [perturb_matrix(b, rho, rng) for b in bases]
-        return _sigma_k(_kr_chain(mats), k)
+    def draw(rng):
+        return _kr_chain([perturb_matrix(b, rho, rng) for b in bases])
 
-    values = _trial_values(one_trial, trials, seed, mapper)
+    # one stacked SVD holds at most the element budget, and at least one chain
+    stack = max(1, _KR_ELEMENT_BUDGET // (n**order * k))
+    values = _trial_values(draw, sigma_k, trials, seed, mapper, stack)
 
     delta = 1.0 - k / n**order
     grid = np.asarray(_DEFAULT_C_GRID)
@@ -272,12 +283,14 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     else:
         raise PreconditionError(f"unknown base point {base_point!r}")
 
-    def one_trial(rng):
+    def draw(rng):
         vecs = [perturb_matrix(base, rho, rng) for _ in range(order)]
-        flat = vecs[0] if order == 1 else np.outer(vecs[0], vecs[1]).ravel()
-        return float(np.linalg.norm(basis.T @ flat))
+        return vecs[0] if order == 1 else np.outer(vecs[0], vecs[1]).ravel()
 
-    values = _trial_values(one_trial, trials, seed, mapper)
+    def projection_norms(flats):
+        return np.linalg.norm(flats @ basis, axis=1)
+
+    values = _trial_values(draw, projection_norms, trials, seed, mapper)
 
     grid = np.asarray(_DEFAULT_C_GRID)
     dim_scale = rho_power / n**order

@@ -144,7 +144,7 @@ def gmm_orthogonal_params(n, k, norm=5.0, seed=0):
     """Mixture with orthogonal means of a common norm."""
     n, k = int(n), int(k)
     if not 1 <= k <= n:
-        raise PreconditionError("orthogonal means need k <= n")
+        raise PreconditionError(f"orthogonal means need 1 <= k <= n, got k={k}, n={n}")
     rng = derive_rng(seed, TAG_SYNTH, 0)
     return GmmParams(means=float(norm) * _orthonormal(rng, n, k))
 

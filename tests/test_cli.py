@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -286,6 +289,13 @@ class TestLearn:
         cols = np.array(payload["estimated_transition"]).T
         assert np.allclose(cols.sum(axis=0), 1.0, atol=1e-9)
 
+    def test_gmm_zero_components_exits_4(self, tmp_path, capsys):
+        code, out = run(tmp_path, "learn", "gmm", "--k", "0", "--n", "8",
+                        "--samples", "100")
+        assert code == 4
+        assert "1 <= k <= n, got k=0, n=8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hmm_nan_noise_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(tmp_path, "learn", "hmm", "--k", "2", "--n", "3",
@@ -367,6 +377,24 @@ class TestLab:
             assert code == 4
             assert not out.exists()
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_overflowing_kr_sigma_trials_exit_4(self, tmp_path, threads):
+        # rho^2 = 1e308 fits, the 1x1 chains overflow to inf; the stacked SVD
+        # of the block must not warn either, so warnings are errors here
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smoothed_lab.__file__)))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "tensordec.cli", "lab", "kr-sigma",
+             "--n", "1", "--k", "1", "--l", "2", "--rho", "1e154", "--trials", "40",
+             "--threads", threads, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "overflows" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert not out.exists()
 
     def test_kr_chain_over_budget_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)

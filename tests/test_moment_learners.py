@@ -72,6 +72,11 @@ class TestGmmSample:
         samples = gmm_sample(GmmParams(means=mu), 10_000, seed=1)
         assert np.linalg.norm(samples.mean(axis=0) - mu[:, 0]) < 0.1
 
+    @pytest.mark.parametrize("n, k", [(8, 0), (8, -1), (3, 4)])
+    def test_orthogonal_means_need_k_between_one_and_n(self, n, k):
+        with pytest.raises(PreconditionError, match=rf"1 <= k <= n, got k={k}, n={n}"):
+            gmm_orthogonal_params(n, k)
+
     def test_fixed_seed_bit_identical(self):
         params = gmm_orthogonal_params(4, 2, seed=2)
         a = gmm_sample(params, 2_500, seed=7)
@@ -195,6 +200,23 @@ class TestThirdMomentKernel:
         a, b, c = (rng.standard_normal((n_rows, w)) for w in (3, 4, 2))
         ref = np.einsum("sa,sb,sc->abc", a, b, c) / n_rows
         assert_rel_close(_third_moment(a, b, c), ref, 1e-12)
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_strided_window_views_match_einsum(self, n_rows):
+        # the HMM path at context 1 passes windows[:, t, :], views with a
+        # row stride of the whole window
+        windows = np.random.default_rng(n_rows + 2).standard_normal((n_rows, 3, 6))
+        a, b, c = (windows[:, t, :] for t in range(3))
+        assert a.strides[0] == windows.strides[0]
+        ref = np.einsum("sa,sb,sc->abc", a, b, c) / n_rows
+        assert_rel_close(_third_moment(a, b, c), ref, 1e-12)
+
+    @pytest.mark.parametrize("n_rows", ROWS)
+    def test_width_three_matches_einsum(self, n_rows):
+        # the whitened moment of a three-component mixture
+        y = np.random.default_rng(n_rows + 3).standard_normal((n_rows, 3)) + 0.5
+        ref = np.einsum("sa,sb,sc->abc", y, y, y) / n_rows
+        assert_rel_close(_third_moment(y, y, y), ref, 1e-12)
 
 
 class TestGmmLearn:

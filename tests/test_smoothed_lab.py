@@ -161,6 +161,104 @@ def test_trial_values_independent_of_mapper(experiment, trials):
     assert serial.tobytes() == experiment(_reversed_order, trials).values.tobytes()
 
 
+def _per_trial_reference(one_trial, trials, seed):
+    """The loop the stacked blocks replaced: trial t alone on stream t + 1."""
+    return np.array([one_trial(derive_rng(seed, TAG_LAB, t + 1)) for t in range(trials)])
+
+
+def _kr_reference(n, k, order, base, trials, seed):
+    if base == "zero":
+        bases = [np.zeros((n, k))] * order
+    else:
+        u = np.column_stack([np.eye(n), rotation_pair_basis(n)])
+        bases = [u, u]
+
+    def one_trial(rng):
+        chain = perturb_matrix(bases[0], 1.0, rng)
+        for b in bases[1:]:
+            chain = khatri_rao(chain, perturb_matrix(b, 1.0, rng))
+        return float(np.linalg.svd(chain, compute_uv=False)[k - 1])
+
+    return _per_trial_reference(one_trial, trials, seed)
+
+
+def _projection_reference(n, order, trials, seed):
+    ambient = n**order
+    g = derive_rng(seed, TAG_LAB, 0).standard_normal((ambient, ambient // 2))
+    basis, _ = np.linalg.qr(g)
+
+    def one_trial(rng):
+        vecs = [perturb_matrix(np.zeros(n), 1.0, rng) for _ in range(order)]
+        flat = vecs[0] if order == 1 else np.outer(vecs[0], vecs[1]).ravel()
+        return float(np.linalg.norm(basis.T @ flat))
+
+    return _per_trial_reference(one_trial, trials, seed)
+
+
+_KR_CASES = [(8, 32, 2, "zero"), (8, 16, 2, "adversarial-basis"), (3, 5, 3, "zero")]
+_KR_IDS = ["zero", "adversarial", "order3"]
+
+
+class TestStackedTrials:
+    """Each block of trials takes its values from one stacked call; the
+    values match the per-trial loop, including a partial last block."""
+
+    TRIALS = 130
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, k, order, base", _KR_CASES, ids=_KR_IDS)
+    def test_kr_sigma_byte_equal_to_per_trial_loop(self, n, k, order, base, threads):
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, base=base,
+                                         seed=21, mapper=pool.map).values
+        reference = _kr_reference(n, k, order, base, self.TRIALS, 21)
+        assert values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n, order", [(32, 1), (6, 2)])
+    def test_projection_matches_per_trial_loop(self, n, order, threads):
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = projection_experiment(n, order, 0.5, 1.0, self.TRIALS, seed=22,
+                                           mapper=pool.map).values
+        reference = _projection_reference(n, order, self.TRIALS, 22)
+        assert np.max(np.abs(values - reference) / reference) <= 1e-14
+
+    @pytest.mark.parametrize("n, k, order, base", _KR_CASES, ids=_KR_IDS)
+    def test_one_svd_per_block(self, n, k, order, base, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, base=base, seed=23)
+        blocks = -(-self.TRIALS // smoothed_lab._TRIAL_BLOCK)
+        # the adversarial base adds one stack of one, the unperturbed chain
+        assert len(calls) == blocks + (base != "zero")
+        assert max(shape[0] for shape in calls) == smoothed_lab._TRIAL_BLOCK
+
+    def test_stack_bounded_by_element_budget(self, monkeypatch):
+        n, k, order = 4, 4, 3
+        unbounded = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, seed=24).values
+        stacks = []
+        trial_values = smoothed_lab._trial_values
+
+        def spy(draw, evaluate, *args):
+            def evaluate_spied(inputs):
+                stacks.append(len(inputs))
+                return evaluate(inputs)
+            return trial_values(draw, evaluate_spied, *args)
+
+        monkeypatch.setattr(smoothed_lab, "_trial_values", spy)
+        monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 3 * n**order * k)
+        bounded = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, seed=24).values
+        assert max(stacks) == 3
+        assert sum(stacks) == self.TRIALS
+        assert bounded.tobytes() == unbounded.tobytes()
+
+
 class TestProjectionExperiment:
     def test_full_space_norm_is_chi_distributed(self):
         # W the whole space: the projection norm is the norm of an
