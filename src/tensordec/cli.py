@@ -135,13 +135,11 @@ def cmd_synth(args, seed, mapper):
         d = random_decomposition(shape, args.rank, seed=seed)
     else:
         d = smoothed_decomposition(shape, args.rank, rho=args.rho, seed=seed)
-    clean = synthesize(d)
+    tensor = synthesize(d)
     if args.noise > 0:
         rng = derive_rng(seed, TAG_NOISE, 0)
-        noisy = clean.data + rng.uniform(-args.noise, args.noise, clean.shape)
-        tensor = DenseTensor(noisy)
-    else:
-        tensor = clean
+        noise = rng.uniform(-args.noise, args.noise, tensor.shape)
+        tensor = DenseTensor(tensor.data + noise)
     outputs = {
         "truth.json": _json_bytes(decomposition_to_dict(d)),
         "tensor.tnsr": tnsr_bytes(tensor),

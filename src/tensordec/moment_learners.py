@@ -40,6 +40,7 @@ from .tensor_core import (
     CpDecomposition,
     DenseTensor,
     _als_refine,
+    _cp_dense,
     khatri_rao,
     synthesize,
 )
@@ -236,19 +237,14 @@ def gmm_second_moment(samples):
 
 
 def gmm_statistic_exact(params, order=3):
-    """Population moment tensor ``(1/k) sum_i mu_i^(x order)``."""
+    """Population moment tensor ``(1/k) sum_i mu_i^(x order)``, by one GEMM
+    as in ``synthesize``: with M the (n, k) means and s modes as rows, the
+    unfolding is ``(M (.) ... (.) M) diag(1/k) (M (.) ... (.) M)^T``, with s
+    and order - s Khatri-Rao factors."""
     order = int(order)
     if order < 2:
         raise PreconditionError("order must be at least 2")
-    cols = [params.means[:, i] for i in range(params.k)]
-    shape = (params.dimension,) * order
-    acc = np.zeros(shape)
-    for mu in cols:
-        term = mu
-        for _ in range(order - 1):
-            term = np.multiply.outer(term, mu)
-        acc += term
-    return DenseTensor(acc / params.k)
+    return _cp_dense([params.means] * order, np.full(params.k, 1.0 / params.k))
 
 
 def _component_scale(order, k, weights):
@@ -505,12 +501,11 @@ def hmm_exact_moments(params, context=1):
     """Population HmmMoments for the given parameters."""
     left, center, right = hmm_population_factors(params, context)
     w = params.stationary
-    tensor = np.einsum("ai,bi,ci,i->abc", left, center, right, w)
     second = (center * w[None, :]) @ center.T
     if params.noise_scale > 0:
         second = second + params.noise_scale**2 * np.eye(params.dimension)
     return HmmMoments(
-        tensor=DenseTensor(tensor),
+        tensor=_cp_dense([left, center, right], w),
         center_mean=center @ w,
         center_future=(center * w[None, :]) @ right.T,
         center_second=second,

@@ -17,6 +17,7 @@ Experiments draw one stream per trial from counter-derived seeds, so a
 thread pool over blocks of trials cannot change any number.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +31,9 @@ _PIVOT_EMPTY_TOL = 1e-10
 # Trials per pool task. Each block gets its values from one stacked LAPACK or
 # BLAS call, which releases the GIL, so the blocks of a pool run in parallel.
 _TRIAL_BLOCK = 64
-# Largest Khatri-Rao chain, n^order * k entries, one trial may build (32 MiB);
-# it also bounds the entries of the chains one stacked SVD holds.
-_KR_ELEMENT_BUDGET = 2**22
+# Largest array, in entries, an experiment may build (32 MiB): a Khatri-Rao
+# chain, the chains one stacked SVD holds, or a projection's (n^order, dim) basis.
+_ELEMENT_BUDGET = 2**22
 _DEFAULT_C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
 
 
@@ -55,6 +56,11 @@ def _rho_power(rho, order):
         raise PreconditionError(f"rho^order overflows: rho={rho}, order={order}") from None
 
 
+def _check_budget(entries, what):
+    if entries > _ELEMENT_BUDGET:
+        raise PreconditionError(f"{what} of {entries} entries exceeds {_ELEMENT_BUDGET}")
+
+
 def rotation_pair_basis(n):
     """Orthonormal basis of 45-degree rotations in coordinate pairs.
 
@@ -74,13 +80,6 @@ def rotation_pair_basis(n):
         q[i, i + 1] = s
         q[i + 1, i + 1] = -s
     return q
-
-
-def _kr_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = khatri_rao(out, m)
-    return out
 
 
 def _trial_values(draw, evaluate, trials, seed, mapper, stack=_TRIAL_BLOCK):
@@ -163,11 +162,7 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         raise PreconditionError(
             f"k={k} exceeds n^order={n**order}: sigma_k is identically zero"
         )
-    if n**order * k > _KR_ELEMENT_BUDGET:
-        raise PreconditionError(
-            f"the Khatri-Rao chain would hold n^order * k = {n**order * k} "
-            f"entries, above the budget of {_KR_ELEMENT_BUDGET}"
-        )
+    _check_budget(n**order * k, "a Khatri-Rao chain (n^order * k)")
     rho = float(rho)
     scale = _rho_power(rho, order) / n**order
 
@@ -184,15 +179,15 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
             raise PreconditionError("the adversarial base needs k = 2n")
         u = np.column_stack([np.eye(n), rotation_pair_basis(n)])
         bases = [u, u]
-        unperturbed = float(sigma_k(_kr_chain(bases)[None])[0])
+        unperturbed = float(sigma_k(functools.reduce(khatri_rao, bases)[None])[0])
     else:
         raise PreconditionError(f"unknown base {base!r}")
 
     def draw(rng):
-        return _kr_chain([perturb_matrix(b, rho, rng) for b in bases])
+        return functools.reduce(khatri_rao, [perturb_matrix(b, rho, rng) for b in bases])
 
     # one stacked SVD holds at most the element budget, and at least one chain
-    stack = max(1, _KR_ELEMENT_BUDGET // (n**order * k))
+    stack = max(1, _ELEMENT_BUDGET // (n**order * k))
     values = _trial_values(draw, sigma_k, trials, seed, mapper, stack)
 
     delta = 1.0 - k / n**order
@@ -249,6 +244,7 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     bound must also survive. Base points are zero vectors or the all-ones
     direction; each trial perturbs them independently. Reported lower-tail
     fractions use thresholds c * rho^l / n^l and c * rho^l / n^(l/2).
+    A basis of more than 2^22 entries (n^order * dim) is rejected.
     """
     n, order, trials = int(n), int(order), int(trials)
     if order not in (1, 2):
@@ -266,13 +262,14 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         raise PreconditionError("delta * n^order must be at least 1")
     if dim > ambient:
         raise PreconditionError("subspace dimension exceeds the ambient space")
+    _check_budget(ambient * dim, "a projection basis (n^order * dim)")
 
     setup_rng = derive_rng(seed, TAG_LAB, 0)
     if subspace == "gaussian":
         g = setup_rng.standard_normal((ambient, dim))
         basis, _ = np.linalg.qr(g)
     elif subspace == "coordinate":
-        basis = np.eye(ambient)[:, :dim]
+        basis = np.eye(ambient, dim)
     else:
         raise PreconditionError(f"unknown subspace family {subspace!r}")
 

@@ -40,20 +40,16 @@ def _orthonormal(rng, n, k):
 
 def direction_separation(mat):
     """Min over column pairs of the distance between unit directions,
-    taken up to sign (antipodal columns count as unseparated)."""
+    taken up to sign (antipodal columns count as unseparated). The closest
+    pair has the largest |<u, v>|, as min(|u - v|, |u + v|)^2 = 2 - 2 |<u, v>|."""
     u = _unit_columns(np.asarray(mat, dtype=np.float64))
     k = u.shape[1]
     if k < 2:
         return np.inf
-    best = np.inf
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = min(
-                float(np.linalg.norm(u[:, i] - u[:, j])),
-                float(np.linalg.norm(u[:, i] + u[:, j])),
-            )
-            best = min(best, d)
-    return best
+    rows, cols = np.triu_indices(k, 1)
+    closest = np.argmax(np.abs(u.T @ u)[rows, cols])
+    a, b = u[:, rows[closest]], u[:, cols[closest]]
+    return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
 def random_decomposition(shape, rank, seed=0, kappa_max=10.0):
@@ -132,10 +128,7 @@ def random_orthogonal_symmetric(n, k, seed=0):
     # pre-orient columns to the canonical sign so the constructor's
     # normalization cannot flip weights out of [1, 2] (a flip in all
     # three modes multiplies the weight by -1)
-    for i in range(k):
-        nz = np.flatnonzero(basis[:, i])
-        if nz.size and basis[nz[0], i] < 0:
-            basis[:, i] *= -1.0
+    basis *= np.sign(basis[np.argmax(basis != 0.0, axis=0), np.arange(k)])
     weights = rng.uniform(*_LAMBDA_RANGE, k)
     return CpDecomposition([basis, basis, basis], weights)
 

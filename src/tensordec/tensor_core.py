@@ -28,23 +28,26 @@ class DenseTensor:
     Parameters
     ----------
     data : array-like
-        Real entries; reshaped copies are stored as contiguous float64 in
+        Real entries; one copy is stored as contiguous float64 in
         row-major order. NaN and infinity are rejected.
     """
 
     __slots__ = ("_data",)
 
     def __init__(self, data):
-        arr = np.ascontiguousarray(data, dtype=np.float64)
+        self._adopt(np.array(data, dtype=np.float64, order="C"))
+
+    def _adopt(self, arr):
+        # keeps ``arr`` itself: callers pass a C-order float64 array nothing else holds
         if arr.ndim < 1:
             raise PreconditionError("tensor order must be at least 1")
         if any(s < 1 for s in arr.shape):
             raise PreconditionError("all mode sizes must be positive")
         if not np.all(np.isfinite(arr)):
             raise PreconditionError("tensor entries must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         self._data = arr
+        return self
 
     @property
     def data(self):
@@ -177,11 +180,25 @@ def outer_product(vectors):
 
 
 def synthesize(d):
-    """Evaluate a CpDecomposition to the dense tensor it represents."""
-    acc = np.zeros(d.shape, dtype=np.float64)
-    for i in range(d.rank):
-        acc += d.weights[i] * _outer([f[:, i] for f in d.factors])
-    return DenseTensor(acc)
+    """Evaluate a CpDecomposition to the dense tensor it represents, by one
+    GEMM: with ``(.)`` the Khatri-Rao product and modes 1..s as rows, the
+    unfolding is ``(F_1 (.) ... (.) F_s) diag(w) (F_s+1 (.) ... (.) F_l)^T``;
+    s = 1 is ``T_(1) = F_1 diag(w) (F_2 (.) ... (.) F_l)^T`` (Kolda & Bader 2009).
+    """
+    return _cp_dense(d.factors, d.weights)
+
+
+def _cp_dense(factors, weights):
+    """``sum_i w_i f_1[:, i] (x) ... (x) f_l[:, i]`` as a DenseTensor over the
+    GEMM's output, split at the s that minimizes the larger group's size, so
+    that neither Khatri-Rao temporary nears the output's size times the rank."""
+    shape = tuple(f.shape[0] for f in factors)
+    split = min(range(1, len(shape) + 1),
+                key=lambda s: max(math.prod(shape[:s]), math.prod(shape[s:])))
+    # a (1, k) row of ones starts each product: at order 1 it is the trailing one
+    lead, trail = (functools.reduce(khatri_rao, group, np.ones((1, len(weights))))
+                   for group in (factors[:split], factors[split:]))
+    return DenseTensor.__new__(DenseTensor)._adopt(((lead * weights) @ trail.T).reshape(shape))
 
 
 def frobenius_norm(t):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,23 @@ class TestSynth:
         perturbed = read_tnsr(str(noisy / "tensor.tnsr"))
         diff = np.max(np.abs(perturbed.data - clean.data))
         assert 0 < diff <= 1e-9
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # synth runs no pool of its own; the GEMM that builds the tensor may
+        # run on several BLAS threads, which must not move a bit
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smoothed_lab.__file__)))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "tensordec.cli", "synth", "--shape", "48,48,48",
+                 "--rank", "24", "--seed", "5", "--out", str(out)],
+                env=env, capture_output=True, timeout=120, check=True,
+            )
+            written.append((out / "tensor.tnsr").read_bytes())
+        assert written[0] == written[1]
 
     def test_negative_noise_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -183,6 +201,13 @@ class TestDecompose:
         big = tmp_path / "big.tnsr"
         big.write_bytes(b'{"order": 2, "shape": [4294967296, 4294967296]}\n')
         code, out = run(tmp_path, "decompose", "--input", str(big))
+        assert code == 2
+        assert not out.exists()
+
+    def test_order_zero_input_exit_code(self, tmp_path):
+        scalar = tmp_path / "scalar.tnsr"
+        scalar.write_bytes(b'{"order": 0, "shape": []}\n' + b"\x00" * 8)
+        code, out = run(tmp_path, "decompose", "--input", str(scalar))
         assert code == 2
         assert not out.exists()
 
@@ -397,11 +422,24 @@ class TestLab:
         assert not out.exists()
 
     def test_kr_chain_over_budget_exits_4(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)
+        monkeypatch.setattr(smoothed_lab, "_ELEMENT_BUDGET", 256)
         code, out = run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "5",
                         "--l", "3", "--trials", "3")
         assert code == 4
         assert not out.exists()
+
+    def test_projection_basis_over_budget_exits_4(self, tmp_path):
+        # a (10^10, 5 * 10^9) basis: rejected before anything is allocated
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path, "lab", "projection", "--n", "100000", "--l", "2",
+                            "--delta", "0.5", "--trials", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert not out.exists()
+        assert peak < 2**20
 
     def test_pivot_invariants_pass(self, tmp_path):
         code, out = run(tmp_path, "lab", "pivot", "--n", "32", "--dim", "8",

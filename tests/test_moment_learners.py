@@ -172,6 +172,18 @@ class TestGmmStatistics:
         t = gmm_statistic_exact(GmmParams(means=mu), order=3)
         assert np.allclose(t.data, 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("order, n, k", [(3, 4, 6), (5, 3, 4)])
+    def test_exact_statistic_matches_outer_product_sum(self, order, n, k):
+        means = np.random.default_rng(order).standard_normal((n, k))
+        expected = np.zeros((n,) * order)
+        for mu in means.T:
+            term = mu
+            for _ in range(order - 1):
+                term = np.multiply.outer(term, mu)
+            expected += term / k
+        t = gmm_statistic_exact(GmmParams(means=means), order=order)
+        assert np.linalg.norm(t.data - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_exact_statistic_order5(self):
         mu = np.array([[2.0], [0.0]])
         t = gmm_statistic_exact(GmmParams(means=mu), order=5)

@@ -134,7 +134,7 @@ class TestKrSigmaExperiment:
             assert values[trial] == np.linalg.svd(khatri_rao(*mats), compute_uv=False)[7]
 
     def test_chain_above_element_budget_rejected(self, monkeypatch):
-        monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 256)
+        monkeypatch.setattr(smoothed_lab, "_ELEMENT_BUDGET", 256)
         assert kr_sigma_experiment(4, 4, order=3, rho=1.0, trials=2).values.size == 2
         with pytest.raises(PreconditionError):
             kr_sigma_experiment(4, 5, order=3, rho=1.0, trials=2)
@@ -252,7 +252,7 @@ class TestStackedTrials:
             return trial_values(draw, evaluate_spied, *args)
 
         monkeypatch.setattr(smoothed_lab, "_trial_values", spy)
-        monkeypatch.setattr(smoothed_lab, "_KR_ELEMENT_BUDGET", 3 * n**order * k)
+        monkeypatch.setattr(smoothed_lab, "_ELEMENT_BUDGET", 3 * n**order * k)
         bounded = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, seed=24).values
         assert max(stacks) == 3
         assert sum(stacks) == self.TRIALS

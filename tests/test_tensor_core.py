@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ class TestDenseTensor:
         t = DenseTensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
             t.data[0, 0] = 5.0
+
+    def test_order_zero_rejected(self):
+        with pytest.raises(PreconditionError):
+            DenseTensor(np.float64(1.0))
+
+    def test_stores_one_c_order_copy(self):
+        src = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        t = DenseTensor(src)
+        src[0, 0] = 9.0
+        assert t.data[0, 0] == 0.0
+        assert t.data.flags.c_contiguous
+        assert np.array_equal(t.data, np.arange(6.0).reshape(2, 3))
+        # a column-major input is reordered and stored in one copy, not two
+        src = np.asfortranarray(np.ones((64, 64, 16)))
+        tracemalloc.start()
+        try:
+            t = DenseTensor(src)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * t.data.nbytes
 
 
 class TestOuterProduct:
@@ -171,7 +193,61 @@ class TestCpDecomposition:
             d.factors[0][0, 0] = 9.0
 
 
+def _outer_product_sum(factors, weights):
+    """Reference for synthesize: the explicit sum of weighted outer products."""
+    acc = np.zeros(tuple(f.shape[0] for f in factors))
+    for i, w in enumerate(weights):
+        term = np.array(w)
+        for f in factors:
+            term = np.multiply.outer(term, f[:, i])
+        acc += term
+    return acc
+
+
+# orders 1 to 6, then shapes with modes of size 1
+_SYNTH_SHAPES = [(5,), (3, 4), (2, 3, 4), (3, 2, 2, 3), (2, 3, 2, 2, 2), (2,) * 6,
+                 (1,), (4, 1), (1, 3, 1), (2, 1, 1, 2, 1)]
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("shape", _SYNTH_SHAPES, ids=str)
+    @pytest.mark.parametrize("rank", ["zero", "one", "above-modes"])
+    def test_matches_outer_product_sum(self, shape, rank):
+        k = {"zero": 0, "one": 1, "above-modes": max(shape) + 2}[rank]
+        rng = np.random.default_rng(10 * len(shape) + k)
+        d = CpDecomposition([rng.standard_normal((n, k)) for n in shape],
+                            rng.uniform(-2.0, 2.0, k))
+        expected = _outer_product_sum(d.factors, d.weights)
+        got = synthesize(d).data
+        assert got.shape == shape
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("shape, k, bound", [
+        # 16 modes of size 2 at rank 64: split after the first mode, the
+        # trailing Khatri-Rao product alone would be 32 times the output
+        ((2,) * 16, 64, 2.5),
+        # small temporaries: the GEMM's output is stored, not copied again
+        ((64,) * 3, 4, 1.5),
+    ])
+    def test_peak_allocation_near_output_size(self, shape, k, bound):
+        rng = np.random.default_rng(3)
+        d = CpDecomposition([rng.standard_normal((n, k)) for n in shape], np.ones(k))
+        tracemalloc.start()
+        try:
+            t = synthesize(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * t.data.nbytes
+        assert not t.data.flags.writeable
+
+    def test_overflowing_sum_rejected(self):
+        # each term is finite; their sum at entry (0, 0, 0) is 2e308
+        e1 = np.array([[1.0, 1.0], [0.0, 0.0]])
+        d = CpDecomposition([e1, e1, e1], [1e308, 1e308])
+        with np.errstate(over="ignore"), pytest.raises(PreconditionError):
+            synthesize(d)
+
     def test_rank_one_basis_columns(self):
         e1 = np.zeros((3, 1))
         e1[0, 0] = 1.0
@@ -403,6 +479,12 @@ class TestTnsrFormat:
         # 2^32 * 2^32 entries wrap to 0 in a fixed-width product
         path = tmp_path / "big.tnsr"
         path.write_bytes(b'{"order": 2, "shape": [4294967296, 4294967296]}\n')
+        with pytest.raises(FormatError):
+            read_tnsr(path)
+
+    def test_order_zero_rejected(self, tmp_path):
+        path = tmp_path / "scalar.tnsr"
+        path.write_bytes(b'{"order": 0, "shape": []}\n' + struct.pack("<d", 1.0))
         with pytest.raises(FormatError):
             read_tnsr(path)
 
