@@ -292,6 +292,8 @@ def cmd_lab_projection(args, seed, mapper):
 
 def cmd_lab_pivot(args, seed, mapper):
     n, dim = args.n, args.dim
+    if n < 1:
+        raise PreconditionError(f"--n must be at least 1, got {n}")
     ambient = n if args.order == 1 else n * n
     if not 1 <= dim <= ambient:
         raise PreconditionError(f"--dim must lie in [1, {ambient}]")

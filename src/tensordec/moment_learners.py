@@ -278,27 +278,38 @@ def match_columns(found, truth):
     return perm, errors
 
 
-def _power_means(whitened, back, k, seed):
-    """Means from a whitened (k, k, k) moment, mapped back through ``back``."""
-    od, residual = deflate_decompose(whitened, k, PowerConfig(seed=seed))
-    return GmmLearnResult(
-        means=(back @ od.vectors) * od.lambdas[None, :],
-        weights=np.full(k, 1.0 / k),
-        decomposition=od,
-        report=RecoveryReport(deflation_residual=residual),
-    )
+def _check_method(method):
+    if method not in ("power", "jennrich"):
+        raise PreconditionError(f"unknown method {method!r}")
+
+
+def _whitened_means(whitened, back, k, method, seed):
+    """Means ``(back @ V) * lam`` from a whitened (k, k, k) moment
+    ``sum_i lam_i v_i^(x3)``. Jennrich's canonical form gives the three
+    columns of a symmetric term one sign, so the sign rides on the weight."""
+    if method == "power":
+        d, residual = deflate_decompose(whitened, k, PowerConfig(seed=seed))
+        vectors, lambdas = d.vectors, d.lambdas
+        report = RecoveryReport(deflation_residual=residual)
+    else:
+        d, report = jennrich_decompose(whitened, JennrichConfig(rank=k, seed=seed))
+        vectors, lambdas = d.factors[0], d.weights
+    return GmmLearnResult(means=(back @ vectors) * lambdas[None, :],
+                          weights=np.full(k, 1.0 / k), decomposition=d, report=report)
 
 
 def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
                            seed=0, plan=None):
     """Recover mixture means from a moment tensor of odd order.
 
-    Order 3 uses simultaneous diagonalization (or the whitened power
-    method when ``method="power"``; that path needs the order-2 moment).
-    Higher odd orders go through the flattening pipeline, which is what
-    makes ``k`` beyond the dimension reachable. Unit directions are
-    rescaled by ``(k * weight)^(1/order)`` to undo the uniform 1/k weight.
+    ``method="power"`` (order 3 only) whitens ``t`` against the order-2
+    moment first. ``method="jennrich"`` decomposes ``t`` through the
+    flattening ``plan`` (at order 3 the identity plan is plain simultaneous
+    diagonalization), which makes ``k`` beyond the dimension reachable.
+    Unit directions are rescaled by ``(k * weight)^(1/order)`` to undo the
+    uniform 1/k weight.
     """
+    _check_method(method)
     k = int(k)
     order = int(order)
     if order < 3 or order % 2 == 0:
@@ -311,14 +322,10 @@ def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
         if second_moment is None:
             raise PreconditionError("the power path needs the order-2 moment")
         wres = whiten(t, second_moment, k)
-        return _power_means(wres.tensor, wres.back_map, k, seed)
-    if method != "jennrich":
-        raise PreconditionError(f"unknown method {method!r}")
-    cfg = JennrichConfig(rank=k, seed=seed)
-    if order == 3:
-        decomposition, report = jennrich_decompose(t, cfg)
-    else:
-        decomposition, report = overcomplete_decompose(t, plan=plan, config=cfg)
+        return _whitened_means(wres.tensor, wres.back_map, k, method, seed)
+    decomposition, report = overcomplete_decompose(
+        t, plan=plan, config=JennrichConfig(rank=k, seed=seed)
+    )
     scale = _component_scale(order, k, decomposition.weights)
     return GmmLearnResult(
         means=decomposition.factors[0] * scale[None, :],
@@ -331,19 +338,18 @@ def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
 def gmm_learn(samples, k, method="power", seed=0, truth=None):
     """Estimate the means of a uniform spherical mixture from samples.
 
-    The default whitened power method is markedly more noise-tolerant than
-    raw simultaneous diagonalization on the empirical third moment, so it
-    is the sampled-data default; pass ``method="jennrich"`` to exercise the
-    direct path. ``truth`` (a GmmParams or an (n, k) means matrix) triggers
-    matched per-component error reporting. A single component skips the
-    tensor machinery: the sample mean is already the moment estimator.
-
-    The power path whitens first: with W from the second moment's top-k
+    Both methods whiten first: with W from the second moment's top-k
     eigenspace, the (k, k, k) third moment of ``y = x W`` less the noise
-    correction ``sym(mean(y) (x) W^T W)`` goes to the power method, so the
-    dense n^3 moment is never built. This is the map ``whiten`` applies to
-    ``gmm_statistic_t3(x)``; the two routes differ only by rounding.
+    correction ``sym(mean(y) (x) W^T W)`` is orthogonally decomposable, so
+    the dense n^3 moment is never built. This is the map ``whiten`` applies
+    to ``gmm_statistic_t3(x)``; the two routes differ only by rounding.
+    ``method`` picks the decomposer of the whitened moment: the power
+    method (the default) or simultaneous diagonalization (``"jennrich"``).
+    ``truth`` (a GmmParams or an (n, k) means matrix) triggers matched
+    per-component error reporting. A single component skips the tensor
+    machinery: the sample mean is already the moment estimator.
     """
+    _check_method(method)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
         raise PreconditionError("samples must be a nonempty (N, n) array")
@@ -354,14 +360,10 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
         result = GmmLearnResult(
             means=samples.mean(axis=0)[:, None], weights=np.ones(1)
         )
-    elif method == "power":
+    else:
         forward, back = _whitening_maps(gmm_second_moment(samples), samples.shape[1], k)
         t3 = _corrected_t3(samples @ forward, forward.T @ forward)
-        result = _power_means(t3, back, k, seed)
-    else:
-        result = gmm_learn_from_moments(
-            gmm_statistic_t3(samples), k, order=3, method=method, seed=seed
-        )
+        result = _whitened_means(t3, back, k, method, seed)
     if truth is not None:
         true_means = truth.means if isinstance(truth, GmmParams) else np.asarray(truth)
         perm, errors = match_columns(result.means, true_means)

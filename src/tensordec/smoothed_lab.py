@@ -18,7 +18,7 @@ thread pool over blocks of trials cannot change any number.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ _TRIAL_BLOCK = 64
 # Largest array, in entries, an experiment may build (32 MiB): a Khatri-Rao
 # chain, the chains one stacked SVD holds, or a projection's (n^order, dim) basis.
 _ELEMENT_BUDGET = 2**22
-_DEFAULT_C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
+_C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
 
 
 def perturb_matrix(base, rho, rng):
@@ -45,13 +45,13 @@ def perturb_matrix(base, rho, rng):
     return base + rng.normal(0.0, rho / np.sqrt(n), base.shape)
 
 
-def _rho_power(rho, order):
-    """``rho**order`` of a positive finite rho; PreconditionError for any
-    other rho, or where the power overflows float64."""
+def _check_rho(rho, order):
+    """PreconditionError unless rho is positive and finite and ``rho**order``,
+    the scale of the summaries' thresholds, fits in float64."""
     if not 0 < rho < np.inf:
         raise PreconditionError(f"rho must be positive and finite, got {rho}")
     try:
-        return rho**order
+        rho**order
     except OverflowError:
         raise PreconditionError(f"rho^order overflows: rho={rho}, order={order}") from None
 
@@ -105,6 +105,21 @@ def _trial_values(draw, evaluate, trials, seed, mapper, stack=_TRIAL_BLOCK):
     return values
 
 
+def _tail_summary(values):
+    """Trial count, the five quantiles, and the c grid of the lower-tail fractions."""
+    q = np.quantile(values, [0.01, 0.1, 0.5, 0.9, 0.99])
+    return {
+        "trials": int(values.size),
+        "quantiles": {"q01": q[0], "q10": q[1], "q50": q[2], "q90": q[3], "q99": q[4]},
+        "c_grid": list(_C_GRID),
+    }
+
+
+def _fractions_below(values, scale):
+    """Share of the trial values below c * scale, for each c of the grid."""
+    return [float(np.mean(values < c * scale)) for c in _C_GRID]
+
+
 @dataclass
 class KrSigmaResult:
     """Per-trial least singular values of the perturbed Khatri-Rao chain."""
@@ -116,24 +131,18 @@ class KrSigmaResult:
     delta: float
     values: np.ndarray
     unperturbed_sigma: float | None = None
-    c_grid: tuple = _DEFAULT_C_GRID
-    fraction_below: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def summary(self):
-        q = np.quantile(self.values, [0.01, 0.1, 0.5, 0.9, 0.99])
+        scale = self.rho**self.order / self.n**self.order
         out = {
             "n": self.n,
             "k": self.k,
             "order": self.order,
             "rho": self.rho,
             "delta": self.delta,
-            "trials": int(self.values.size),
-            "quantiles": {
-                "q01": q[0], "q10": q[1], "q50": q[2], "q90": q[3], "q99": q[4]
-            },
-            "threshold_scale": self.rho**self.order / self.n**self.order,
-            "c_grid": list(self.c_grid),
-            "fraction_below": [float(f) for f in self.fraction_below],
+            **_tail_summary(self.values),
+            "threshold_scale": scale,
+            "fraction_below": _fractions_below(self.values, scale),
         }
         if self.unperturbed_sigma is not None:
             out["unperturbed_sigma"] = self.unperturbed_sigma
@@ -148,8 +157,8 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     Gaussian matrix. ``base="adversarial-basis"`` (order 2, k = 2n, even n
     only) starts from the identity next to the paired-rotation basis; the
     unperturbed product has sigma_k exactly 0, and its value is reported
-    alongside the perturbed samples. The fraction of trials below
-    c * rho^order / n^order is reported over a log-spaced grid of c.
+    alongside the perturbed samples. ``summary()`` reports the fraction of
+    trials below c * rho^order / n^order over a log-spaced grid of c.
     Trials draw from per-trial derived streams and go to ``mapper`` in
     fixed blocks, so it may be the map of a thread pool; each block takes
     its values from one stacked SVD. A chain of more than 2^22 entries
@@ -164,7 +173,7 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         )
     _check_budget(n**order * k, "a Khatri-Rao chain (n^order * k)")
     rho = float(rho)
-    scale = _rho_power(rho, order) / n**order
+    _check_rho(rho, order)
 
     def sigma_k(chains):
         return np.linalg.svd(chains, compute_uv=False)[:, k - 1]
@@ -189,14 +198,9 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     # one stacked SVD holds at most the element budget, and at least one chain
     stack = max(1, _ELEMENT_BUDGET // (n**order * k))
     values = _trial_values(draw, sigma_k, trials, seed, mapper, stack)
-
-    delta = 1.0 - k / n**order
-    grid = np.asarray(_DEFAULT_C_GRID)
-    fractions = np.array([np.mean(values < c * scale) for c in grid])
     return KrSigmaResult(
-        n=n, k=k, order=order, rho=rho, delta=delta, values=values,
-        unperturbed_sigma=unperturbed, c_grid=_DEFAULT_C_GRID,
-        fraction_below=fractions,
+        n=n, k=k, order=order, rho=rho, delta=1.0 - k / n**order, values=values,
+        unperturbed_sigma=unperturbed,
     )
 
 
@@ -210,27 +214,21 @@ class ProjectionResult:
     rho: float
     subspace_dim: int
     values: np.ndarray
-    c_grid: tuple = _DEFAULT_C_GRID
-    fraction_below_dim_scale: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    fraction_below_sqrt_scale: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def summary(self):
-        q = np.quantile(self.values, [0.01, 0.1, 0.5, 0.9, 0.99])
+        dim_scale = self.rho**self.order / self.n**self.order
+        sqrt_scale = self.rho**self.order / self.n ** (self.order / 2.0)
         return {
             "n": self.n,
             "order": self.order,
             "delta": self.delta,
             "rho": self.rho,
             "subspace_dim": self.subspace_dim,
-            "trials": int(self.values.size),
-            "quantiles": {
-                "q01": q[0], "q10": q[1], "q50": q[2], "q90": q[3], "q99": q[4]
-            },
-            "c_grid": list(self.c_grid),
-            "dim_scale": self.rho**self.order / self.n**self.order,
-            "fraction_below_dim_scale": [float(f) for f in self.fraction_below_dim_scale],
-            "sqrt_scale": self.rho**self.order / self.n ** (self.order / 2.0),
-            "fraction_below_sqrt_scale": [float(f) for f in self.fraction_below_sqrt_scale],
+            **_tail_summary(self.values),
+            "dim_scale": dim_scale,
+            "fraction_below_dim_scale": _fractions_below(self.values, dim_scale),
+            "sqrt_scale": sqrt_scale,
+            "fraction_below_sqrt_scale": _fractions_below(self.values, sqrt_scale),
         }
 
 
@@ -253,7 +251,7 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         raise PreconditionError("n and trials must be positive")
     rho = float(rho)
     delta = float(delta)
-    rho_power = _rho_power(rho, order)
+    _check_rho(rho, order)
     ambient = n**order
     if not np.isfinite(delta * ambient):
         raise PreconditionError(f"delta * n^order must be finite, got {delta} * {ambient}")
@@ -288,19 +286,8 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         return np.linalg.norm(flats @ basis, axis=1)
 
     values = _trial_values(draw, projection_norms, trials, seed, mapper)
-
-    grid = np.asarray(_DEFAULT_C_GRID)
-    dim_scale = rho_power / n**order
-    sqrt_scale = rho_power / n ** (order / 2.0)
     return ProjectionResult(
-        n=n, order=order, delta=delta, rho=rho, subspace_dim=dim, values=values,
-        c_grid=_DEFAULT_C_GRID,
-        fraction_below_dim_scale=np.array(
-            [np.mean(values < c * dim_scale) for c in grid]
-        ),
-        fraction_below_sqrt_scale=np.array(
-            [np.mean(values < c * sqrt_scale) for c in grid]
-        ),
+        n=n, order=order, delta=delta, rho=rho, subspace_dim=dim, values=values
     )
 
 
@@ -447,6 +434,8 @@ def build_pivot_basis_l2(basis, n):
     row and recurses until nothing is left.
     """
     n = int(n)
+    if n < 1:
+        raise PreconditionError(f"n must be at least 1, got {n}")
     b = _orthonormal_columns(basis).copy()
     if b.shape[0] != n * n:
         raise PreconditionError("basis rows must have length n*n")

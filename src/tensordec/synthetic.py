@@ -33,6 +33,20 @@ def _unit_columns(mat):
     return mat / norms[None, :]
 
 
+def _smoothed_columns(rng, n, k, rho):
+    """Random unit columns, each coordinate then given N(0, rho^2/n) noise,
+    renormalized. A rho that is not positive and finite, or whose perturbed
+    column norms overflow float64, is a PreconditionError."""
+    if not 0 < rho < np.inf:
+        raise PreconditionError(f"rho must be positive and finite, got {rho}")
+    noised = perturb_matrix(_unit_columns(rng.standard_normal((n, k))), rho, rng)
+    with np.errstate(over="ignore"):  # the finiteness check reports overflow
+        norms = np.linalg.norm(noised, axis=0)
+    if not np.all(np.isfinite(norms)):
+        raise PreconditionError(f"rho={rho} overflows the perturbed column norms")
+    return noised / norms[None, :]
+
+
 def _orthonormal(rng, n, k):
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))[None, :]
@@ -101,14 +115,8 @@ def smoothed_decomposition(shape, rank, rho, seed=0):
     rank = int(rank)
     if rank < 1:
         raise PreconditionError("rank must be positive")
-    rho = float(rho)
-    if rho <= 0:
-        raise PreconditionError("rho must be positive")
     rng = derive_rng(seed, TAG_SYNTH, 0)
-    factors = []
-    for n in shape:
-        base = _unit_columns(rng.standard_normal((n, rank)))
-        factors.append(_unit_columns(perturb_matrix(base, rho, rng)))
+    factors = [_smoothed_columns(rng, n, rank, float(rho)) for n in shape]
     weights = rng.uniform(*_WEIGHT_RANGE, rank)
     return CpDecomposition(factors, weights)
 
@@ -146,9 +154,7 @@ def gmm_smoothed_params(n, k, rho=0.5, seed=0):
     """Mixture with smoothed unit-norm means, typically overcomplete (k > n)."""
     n, k = int(n), int(k)
     rng = derive_rng(seed, TAG_SYNTH, 0)
-    base = _unit_columns(rng.standard_normal((n, k)))
-    noised = perturb_matrix(base, float(rho), rng)
-    return GmmParams(means=_unit_columns(noised))
+    return GmmParams(means=_smoothed_columns(rng, n, k, float(rho)))
 
 
 def hmm_random_params(n, k, seed=0, noise_scale=0.0):

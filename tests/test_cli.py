@@ -87,6 +87,15 @@ class TestSynth:
             written.append((out / "tensor.tnsr").read_bytes())
         assert written[0] == written[1]
 
+    @pytest.mark.parametrize("rho", ["1e200", "1e300", "inf", "nan", "0"])
+    def test_unusable_rho_exits_4(self, tmp_path, capsys, rho):
+        # the perturbed column norms of 1e200 and 1e300 overflow to inf
+        code, out = run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "3",
+                        "--model", "smoothed", "--rho", rho)
+        assert code == 4
+        assert "rho" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_noise_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "2",
@@ -296,6 +305,15 @@ class TestLearn:
         _, four = run(tmp_path / "t4", *base, "--threads", "4")
         assert (one / "means.json").read_bytes() == (four / "means.json").read_bytes()
 
+    def test_gmm_jennrich_thread_count_does_not_change_bytes(self, tmp_path):
+        base = ["learn", "gmm", "--k", "3", "--n", "8", "--samples", "250000",
+                "--seed", "13", "--method", "jennrich"]
+        code1, one = run(tmp_path / "t1", *base, "--threads", "1")
+        code2, two = run(tmp_path / "t2", *base, "--threads", "2")
+        assert code1 == code2 == 0
+        assert (one / "means.json").read_bytes() == (two / "means.json").read_bytes()
+        assert read_json(one / "means.json")["max_mean_error"] <= 0.25
+
     def test_gmm_dump_samples(self, tmp_path):
         code, out = run(tmp_path, "learn", "gmm", "--k", "2", "--n", "4",
                         "--samples", "1000", "--seed", "14", "--dump-samples")
@@ -457,6 +475,15 @@ class TestLab:
         payload = read_json(out / "pivot.json")
         assert payload["invariants_pass"] is True
         assert sum(payload["row_counts"]) == payload["count"]
+
+    @pytest.mark.parametrize("order", ["1", "2"])
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_pivot_nonpositive_n_exits_4(self, tmp_path, capsys, order, n):
+        # at order 2, n^2 passes the --dim range check
+        code, out = run(tmp_path, "lab", "pivot", "--l", order, "--n", n, "--dim", "2")
+        assert code == 4
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifest:

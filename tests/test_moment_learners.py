@@ -25,7 +25,7 @@ from tensordec import (
     hmm_sample,
     match_columns,
 )
-from tensordec import JennrichConfig, jennrich_decompose, moment_learners
+from tensordec import FlatteningPlan, JennrichConfig, jennrich_decompose, moment_learners
 from tensordec.matrix_ops import pseudoinverse
 from tensordec.moment_learners import _PRODUCT_BLOCK, _third_moment, stationary_distribution
 from tensordec.tensor_core import CpDecomposition, _als_refine, khatri_rao
@@ -308,7 +308,8 @@ class TestGmmLearn:
         got = gmm_learn(samples, k, seed=seed)
         assert np.max(np.abs(got.means - dense.means)) <= 1e-12
 
-    def test_power_path_never_builds_the_dense_moment(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["power", "jennrich"])
+    def test_sampled_learner_never_builds_the_dense_moment(self, monkeypatch, method):
         def refuse(*args, **kwargs):
             raise AssertionError("dense third moment built")
 
@@ -316,8 +317,46 @@ class TestGmmLearn:
         monkeypatch.setattr(moment_learners, "whiten", refuse)
         params = gmm_orthogonal_params(6, 2, norm=4.0, seed=21)
         samples = gmm_sample(params, 20_000, seed=22)
-        result = gmm_learn(samples, 2, method="power", truth=params)
+        result = gmm_learn(samples, 2, method=method, truth=params)
         assert result.max_mean_error < 0.25
+
+    def test_whitened_jennrich_within_gate_bound(self):
+        # the seeding of acceptance gate 09; the dense n^3 route this
+        # replaced reached 0.268 on these seeds
+        errors = []
+        for seed in range(10):
+            params = gmm_orthogonal_params(8, 3, norm=5.0, seed=seed)
+            samples = gmm_sample(params, 500_000, seed=seed)
+            result = gmm_learn(samples, 3, method="jennrich", seed=seed, truth=params)
+            errors.append(result.max_mean_error)
+        assert max(errors) <= 0.25
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unknown_method_rejected_before_any_work(self, monkeypatch, k):
+        def refuse(*args, **kwargs):
+            raise AssertionError("moment work started")
+
+        monkeypatch.setattr(moment_learners, "gmm_second_moment", refuse)
+        monkeypatch.setattr(moment_learners, "gmm_statistic_t3", refuse)
+        samples = gmm_sample(gmm_orthogonal_params(4, 3, seed=23), 1000, seed=24)
+        with pytest.raises(PreconditionError, match="bogus"):
+            gmm_learn(samples, k, method="bogus")
+
+    @pytest.mark.parametrize("plan", [None, FlatteningPlan(3, ((0,), (1,), (2,)))],
+                             ids=["default", "identity"])
+    def test_order3_jennrich_equals_direct_decomposition(self, plan):
+        params = gmm_orthogonal_params(6, 3, norm=4.0, seed=25)
+        t3 = gmm_statistic_exact(params, order=3)
+        direct, _ = jennrich_decompose(t3, JennrichConfig(rank=3, seed=26))
+        got = gmm_learn_from_moments(t3, 3, seed=26, plan=plan).decomposition
+        assert got.weights.tobytes() == direct.weights.tobytes()
+        for a, b in zip(got.factors, direct.factors):
+            assert a.tobytes() == b.tobytes()
+
+    def test_order3_plan_is_not_ignored(self):
+        t3 = gmm_statistic_exact(gmm_orthogonal_params(4, 2, seed=27), order=3)
+        with pytest.raises(PreconditionError, match="plan covers 5 modes"):
+            gmm_learn_from_moments(t3, 2, plan=FlatteningPlan(5, ((0, 1), (2, 3), (4,))))
 
     def test_power_method_is_default(self):
         params = gmm_orthogonal_params(6, 2, norm=4.0, seed=17)

@@ -117,6 +117,17 @@ class TestKrSigmaExperiment:
         # lower-tail fraction is nondecreasing in the threshold
         assert np.all(np.diff(s["fraction_below"]) >= 0)
 
+    def test_summary_fractions_follow_values(self):
+        result = kr_sigma_experiment(4, 4, order=2, rho=0.5, trials=50, seed=11)
+        scale = 0.5**2 / 4**2
+        s = result.summary()
+        assert s["threshold_scale"] == scale
+        assert s["fraction_below"] == [
+            float(np.mean(result.values < c * scale)) for c in s["c_grid"]
+        ]
+        result.values = np.full(50, 1.0)
+        assert result.summary()["fraction_below"] == [0.0] * len(s["c_grid"])
+
     def test_thread_pool_mapper_identical(self):
         with ThreadPoolExecutor(max_workers=4) as pool:
             threaded = kr_sigma_experiment(
@@ -310,6 +321,14 @@ class TestProjectionExperiment:
         with pytest.raises(PreconditionError):
             projection_experiment(8, 1, delta=delta, rho=rho, trials=5)
 
+    def test_summary_fractions_follow_values(self):
+        result = projection_experiment(4, 2, delta=0.5, rho=2.0, trials=20, seed=17)
+        result.values = np.zeros(20)
+        s = result.summary()
+        assert s["trials"] == 20
+        assert s["fraction_below_dim_scale"] == [1.0] * len(s["c_grid"])
+        assert s["fraction_below_sqrt_scale"] == [1.0] * len(s["c_grid"])
+
     def test_summary_scales(self):
         result = projection_experiment(4, 2, delta=0.5, rho=2.0, trials=20, seed=17)
         s = result.summary()
@@ -394,3 +413,9 @@ class TestBuildPivotBasisL2:
     def test_basis_length_checked(self):
         with pytest.raises(PreconditionError):
             build_pivot_basis_l2(np.eye(6)[:, :2], 3)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n_rejected(self, n):
+        # n^2 = 9 matches the basis length, so only the sign check catches -3
+        with pytest.raises(PreconditionError, match="n must be at least 1"):
+            build_pivot_basis_l2(np.eye(9)[:, :2], n)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tensordec import PreconditionError, gmm_smoothed_params, smoothed_decomposition
 from tensordec.synthetic import direction_separation
 
 
@@ -37,3 +38,21 @@ class TestDirectionSeparation:
 
     def test_single_column_is_unbounded(self):
         assert direction_separation(np.ones((3, 1))) == np.inf
+
+
+class TestSmoothedGenerators:
+    @pytest.mark.parametrize("rho", [1e200, 1e300, np.inf, np.nan, 0.0, -1.0])
+    def test_unusable_rho_rejected(self, rho):
+        # at 1e200 and 1e300 the perturbed column norms overflow to inf, and
+        # dividing by them would give all-zero factors
+        with pytest.raises(PreconditionError, match="rho"):
+            smoothed_decomposition((4, 4, 4), 3, rho=rho, seed=1)
+        with pytest.raises(PreconditionError, match="rho"):
+            gmm_smoothed_params(4, 6, rho=rho, seed=1)
+
+    def test_large_finite_rho_gives_unit_columns(self):
+        d = smoothed_decomposition((4, 4, 4), 3, rho=1e100, seed=1)
+        for f in d.factors:
+            assert np.allclose(np.linalg.norm(f, axis=0), 1.0)
+        means = gmm_smoothed_params(4, 6, rho=1e100, seed=1).means
+        assert np.allclose(np.linalg.norm(means, axis=0), 1.0)
