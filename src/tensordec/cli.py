@@ -132,9 +132,12 @@ def _report_dict(report, tensor=None):
 def cmd_synth(args, seed, mapper):
     shape = _parse_shape(args.shape)
     if args.model == "exact":
+        if args.rho is not None:
+            raise PreconditionError("--rho needs --model smoothed")
         d = random_decomposition(shape, args.rank, seed=seed)
     else:
-        d = smoothed_decomposition(shape, args.rank, rho=args.rho, seed=seed)
+        rho = 0.5 if args.rho is None else args.rho
+        d = smoothed_decomposition(shape, args.rank, rho=rho, seed=seed)
     tensor = synthesize(d)
     if args.noise > 0:
         rng = derive_rng(seed, TAG_NOISE, 0)
@@ -148,6 +151,10 @@ def cmd_synth(args, seed, mapper):
 
 
 def cmd_decompose(args, seed, mapper):
+    if args.groups and args.method != "flatten-jennrich":
+        raise PreconditionError("--groups needs --method flatten-jennrich")
+    if args.whiten and args.method != "power":
+        raise PreconditionError("--whiten needs --method power")
     tensor = read_tnsr(args.input)
     inputs = [args.input]
     rank = args.rank
@@ -202,6 +209,11 @@ def cmd_eval(args, seed, mapper):
     if args.tensor:
         tensor = read_tnsr(args.tensor)
         inputs.append(args.tensor)
+        if tensor.shape != found.shape:
+            raise PreconditionError(
+                f"--tensor shape {tensor.shape} differs from the decompositions' "
+                f"{found.shape}"
+            )
     return {"report.json": _json_bytes(_report_dict(report, tensor))}, inputs
 
 
@@ -301,30 +313,11 @@ def cmd_lab_pivot(args, seed, mapper):
     basis, _ = np.linalg.qr(rng.standard_normal((ambient, dim)))
     if args.order == 1:
         pivot = build_pivot_basis(basis)
-        violation = pivot.max_violation()
-        distinct = len(set(pivot.pivots)) == pivot.count
-        payload = {
-            "order": 1,
-            "n": n,
-            "dim": dim,
-            "count": pivot.count,
-            "pivots": list(pivot.pivots),
-            "vectors": _columns(pivot.vectors),
-            "max_violation": violation,
-            "invariants_pass": bool(distinct and violation <= 1e-10),
-        }
+        payload = {"pivots": list(pivot.pivots), "vectors": _columns(pivot.vectors)}
     else:
         pivot = build_pivot_basis_l2(basis, n)
-        violation = pivot.max_violation()
-        distinct = len(set(pivot.rows)) == pivot.rounds and all(
-            len(set(cols)) == len(cols) for cols in pivot.pivot_columns
-        )
         payload = {
-            "order": 2,
-            "n": n,
-            "dim": dim,
             "rounds": pivot.rounds,
-            "count": pivot.count,
             "rows": list(pivot.rows),
             "pivot_columns": [list(c) for c in pivot.pivot_columns],
             "row_counts": pivot.row_counts(),
@@ -332,9 +325,10 @@ def cmd_lab_pivot(args, seed, mapper):
                 [[float(x) for x in m.ravel()] for m in round_mats]
                 for round_mats in pivot.matrices
             ],
-            "max_violation": violation,
-            "invariants_pass": bool(distinct and violation <= 1e-10),
         }
+    payload.update(order=args.order, n=n, dim=dim, count=pivot.count,
+                   max_violation=pivot.max_violation(),
+                   invariants_pass=pivot.invariants_pass())
     return {"pivot.json": _json_bytes(payload)}, []
 
 
@@ -393,8 +387,8 @@ def build_parser():
     p.add_argument("--shape", required=True, help="comma-separated mode sizes")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--model", choices=["exact", "smoothed"], default="exact")
-    p.add_argument("--rho", type=float, default=0.5,
-                   help="perturbation scale for --model smoothed")
+    p.add_argument("--rho", type=float, default=None,
+                   help="perturbation scale for --model smoothed (default 0.5)")
     p.add_argument("--noise", type=_nonnegative_float, default=0.0,
                    help="entrywise uniform noise magnitude added to the tensor")
     _add_common(p)

@@ -20,6 +20,9 @@ Random draws whose eigenvalue ratios come too close together, or too close
 to zero, are rejected and redrawn: the ratios concentrate apart for
 well-separated ``w_i``, so a handful of retries suffices away from
 degenerate inputs.
+
+One matcher, ``_bottleneck_match``, pairs found components with true ones
+for both ``match_terms`` (rank-one terms) and ``match_columns`` (columns).
 """
 
 from dataclasses import dataclass, field
@@ -259,32 +262,49 @@ def _bottleneck_assignment(cost):
     return best, errors, max(errors)
 
 
+def _bottleneck_match(found, truth):
+    """:func:`_bottleneck_assignment` over the distances ``norm(f - t)`` of
+    all pairs. ``truth`` is held; ``found``, as long, is read once, and
+    ``map`` drops each found item before reading the next, so one found item
+    and one difference are alive beside the truth."""
+    truth = list(truth)
+    rows = map(lambda f: [np.linalg.norm(f - t) for t in truth], found)
+    return _bottleneck_assignment(np.reshape(list(rows), (len(truth), len(truth))))
+
+
 def match_terms(found, truth):
     """Optimally align two decompositions and report per-term errors.
 
     The assignment minimizes the maximum Frobenius distance between whole
     rank-one terms, so the result is immune to per-column scaling and sign
-    choices (both sides are in canonical form). Ranks must agree.
+    choices (both sides are in canonical form). Ranks must agree. The k
+    true terms are held dense; the found ones are built one at a time.
     """
-    if found.order != truth.order or found.shape != truth.shape:
-        raise PreconditionError(
-            f"shape mismatch: {found.shape} vs {truth.shape}"
-        )
+    if found.shape != truth.shape:
+        raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
     if found.rank != truth.rank:
-        raise PreconditionError(
-            f"rank mismatch: {found.rank} vs {truth.rank}"
-        )
+        raise PreconditionError(f"rank mismatch: {found.rank} vs {truth.rank}")
     k = found.rank
-    found_terms = [found.term(i).data for i in range(k)]
-    truth_terms = [truth.term(j).data for j in range(k)]
-    cost = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            cost[i, j] = np.linalg.norm(found_terms[i] - truth_terms[j])
-    perm, errors, bottleneck = _bottleneck_assignment(cost)
+    perm, errors, bottleneck = _bottleneck_match(
+        (found.term(i).data for i in range(k)),
+        [truth.term(j).data for j in range(k)],
+    )
     return RecoveryReport(
         condition_numbers=[_safe_kappa(f) for f in found.factors],
         permutation=perm,
         per_term_errors=errors,
         max_error=bottleneck,
     )
+
+
+def match_columns(found, truth):
+    """Bottleneck-optimal column alignment; returns (perm, per-column errors).
+
+    ``perm[i]`` is the truth column matched to found column ``i``.
+    """
+    found = np.asarray(found, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if found.shape != truth.shape:
+        raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
+    perm, errors, _ = _bottleneck_match(found.T, truth.T)
+    return perm, errors

@@ -26,12 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError
-from .jennrich import (
-    JennrichConfig,
-    RecoveryReport,
-    _bottleneck_assignment,
-    jennrich_decompose,
-)
+from .jennrich import JennrichConfig, RecoveryReport, jennrich_decompose, match_columns
 from .matrix_ops import _null_space, pseudoinverse
 from .overcomplete import overcomplete_decompose
 from .power_method import PowerConfig, _whitening_maps, deflate_decompose, whiten
@@ -262,20 +257,6 @@ class GmmLearnResult:
     permutation: list | None = None
     mean_errors: list | None = None
     max_mean_error: float | None = None
-
-
-def match_columns(found, truth):
-    """Bottleneck-optimal column alignment; returns (perm, per-column errors).
-
-    ``perm[i]`` is the truth column matched to found column ``i``.
-    """
-    found = np.asarray(found, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if found.shape != truth.shape:
-        raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
-    cost = np.linalg.norm(truth[:, None, :] - found[:, :, None], axis=0)
-    perm, errors, _ = _bottleneck_assignment(cost)
-    return perm, errors
 
 
 def _check_method(method):
@@ -633,13 +614,9 @@ def _match_hmm(result, truth):
     )
     result.permutation = perm
     result.observation_errors = obs_errors
-    inv = np.empty(len(perm), dtype=int)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    result.stationary_errors = [
-        float(abs(result.stationary[inv[j]] - truth.stationary[j]))
-        for j in range(len(perm))
-    ]
+    inv = np.argsort(perm)
+    stationary_errors = np.abs(result.stationary[inv] - truth.stationary)
+    result.stationary_errors = stationary_errors.tolist()
     if result.transition is not None:
         aligned = result.transition[np.ix_(inv, inv)]
         result.transition_errors = [

@@ -294,8 +294,23 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
 # ---------------------------------------------------------------------------
 # Pivot constructions.
 
+class _PivotChecks:
+    """The invariants of both pivot constructions: distinct pivots
+    (``_distinct()``) and a ``max_violation()`` within tolerance."""
+
+    def invariants_pass(self, tol=1e-10):
+        return bool(self._distinct() and self.max_violation() <= tol)
+
+    def validate(self, tol=1e-10):
+        if not self.invariants_pass(tol):
+            raise PreconditionError(
+                f"pivot invariants violated: distinct={self._distinct()}, "
+                f"max violation {self.max_violation():.3e}"
+            )
+
+
 @dataclass(frozen=True)
-class PivotBasis:
+class PivotBasis(_PivotChecks):
     """Vectors spanning a subspace with a staircase of pivot coordinates.
 
     For each j: max-magnitude entry at most 1, entry at its own pivot
@@ -321,12 +336,8 @@ class PivotBasis:
                 worst = max(worst, abs(v[self.pivots[jp]]))
         return worst
 
-    def validate(self, tol=1e-10):
-        if len(set(self.pivots)) != self.count:
-            raise PreconditionError("pivot indices must be distinct")
-        worst = self.max_violation()
-        if worst > tol:
-            raise PreconditionError(f"pivot invariants violated by {worst:.3e}")
+    def _distinct(self):
+        return len(set(self.pivots)) == self.count
 
 
 def _orthonormal_columns(basis):
@@ -372,7 +383,7 @@ def build_pivot_basis(basis):
 
 
 @dataclass(frozen=True)
-class PivotBasisL2:
+class PivotBasisL2(_PivotChecks):
     """Rounds of pivot matrices, one valid row per round.
 
     Round t holds matrices whose pivots share row ``rows[t]``, with
@@ -413,15 +424,11 @@ class PivotBasisL2:
                     worst = max(worst, float(np.max(np.abs(mat[self.rows[tp], :]))))
         return worst
 
-    def validate(self, tol=1e-10):
-        if len(set(self.rows)) != self.rounds:
-            raise PreconditionError("round rows must be distinct")
-        for cols in self.pivot_columns:
-            if len(set(cols)) != len(cols):
-                raise PreconditionError("pivot columns must be distinct within a round")
-        worst = self.max_violation()
-        if worst > tol:
-            raise PreconditionError(f"pivot invariants violated by {worst:.3e}")
+    def _distinct(self):
+        """Round rows distinct, and pivot columns distinct within each round."""
+        return len(set(self.rows)) == self.rounds and all(
+            len(set(cols)) == len(cols) for cols in self.pivot_columns
+        )
 
 
 def build_pivot_basis_l2(basis, n):

@@ -263,6 +263,20 @@ class TestEval:
             via_decompose["max_error"], rel=1e-9
         )
 
+    def test_tensor_of_another_shape_exits_4(self, tmp_path, capsys):
+        _, big = run(tmp_path / "a", "synth", "--shape", "6,6,6", "--rank", "3",
+                     "--seed", "1")
+        _, small = run(tmp_path / "b", "synth", "--shape", "5,5,5", "--rank", "2",
+                       "--seed", "2")
+        _, dec = run(tmp_path / "d", "decompose", "--input", str(big / "tensor.tnsr"))
+        code, out = run(tmp_path / "e", "eval",
+                        "--found", str(dec / "decomposition.json"),
+                        "--truth", str(big / "truth.json"),
+                        "--tensor", str(small / "tensor.tnsr"))
+        assert code == 4
+        assert "--tensor" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "found",
         [
@@ -484,6 +498,41 @@ class TestLab:
         assert code == 4
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestIgnoredFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["decompose", "--method", "jennrich", "--groups", "1/2/3"], "--groups"),
+            (["decompose", "--method", "flatten-jennrich", "--whiten", "m.tnsr"],
+             "--whiten"),
+            (["decompose", "--method", "jennrich", "--whiten", "m.tnsr"], "--whiten"),
+            (["decompose", "--method", "power", "--rank", "2", "--groups", "1/2/3"],
+             "--groups"),
+            (["synth", "--shape", "4,4,4", "--rank", "2", "--model", "exact",
+              "--rho", "7"], "--rho"),
+            (["synth", "--shape", "4,4,4", "--rank", "2", "--rho", "0.5"], "--rho"),
+        ],
+    )
+    def test_flag_the_method_does_not_use_exits_4(self, tmp_path, capsys, argv, flag):
+        _, synth = run(tmp_path / "s", "synth", "--shape", "4,4,4", "--rank", "2")
+        argv = [str(synth / "tensor.tnsr") if a == "m.tnsr" else a for a in argv]
+        if argv[0] == "decompose":
+            argv[1:1] = ["--input", str(synth / "tensor.tnsr")]
+        code, out = run(tmp_path, *argv)
+        assert code == 4
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smoothed_model_defaults_rho_to_one_half(self, tmp_path):
+        args = ["synth", "--shape", "4,4,4", "--rank", "3", "--model", "smoothed"]
+        _, implicit = run(tmp_path / "a", *args)
+        _, explicit = run(tmp_path / "b", *args, "--rho", "0.5")
+        assert (implicit / "truth.json").read_bytes() == (
+            explicit / "truth.json"
+        ).read_bytes()
+        assert read_json(implicit / "manifest.json")["flags"]["rho"] is None
 
 
 class TestManifest:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tensordec import (
     PreconditionError,
     frobenius_norm,
     jennrich_decompose,
+    match_columns,
     match_terms,
     pseudoinverse,
     random_decomposition,
@@ -282,6 +284,41 @@ class TestMatchTerms:
         report = match_terms(found, truth)
         # the bottleneck assignment pairs the mixed term with truth 0
         assert report.permutation == [0, 1]
+
+    def test_holds_the_true_terms_and_one_found_term(self):
+        shape, k = (32, 32, 32), 16
+        truth = random_decomposition(shape, k, seed=25)
+        found = random_decomposition(shape, k, seed=26)
+        match_terms(found, truth)  # one-time lazy imports stay out of the count
+        tracemalloc.start()
+        try:
+            match_terms(found, truth)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the k true terms, one found term and one difference, plus slack
+        assert peak < (k + 3) * 8 * 32**3
+
+    def test_columns_pair_like_order_one_terms(self):
+        rng = np.random.default_rng(27)
+        a = rng.standard_normal((6, 5))
+        b = a[:, rng.permutation(5)] + 0.3 * rng.standard_normal((6, 5))
+        perm, errors = match_columns(a, b)
+        report = match_terms(CpDecomposition([a], np.ones(5)),
+                             CpDecomposition([b], np.ones(5)))
+        assert perm == report.permutation
+        assert np.allclose(errors, report.per_term_errors, rtol=1e-15, atol=0.0)
+
+    def test_mismatch_messages(self):
+        a = random_decomposition((4, 4, 4), 2, seed=23)
+        with pytest.raises(PreconditionError, match=r"^rank mismatch: 2 vs 3$"):
+            match_terms(a, random_decomposition((4, 4, 4), 3, seed=24))
+        with pytest.raises(PreconditionError,
+                           match=r"^shape mismatch: \(4, 4, 4\) vs \(4, 4, 5\)$"):
+            match_terms(a, random_decomposition((4, 4, 5), 2, seed=24))
+        with pytest.raises(PreconditionError,
+                           match=r"^shape mismatch: \(4, 2\) vs \(4, 3\)$"):
+            match_columns(np.ones((4, 2)), np.ones((4, 3)))
 
 
 def _scipy_bottleneck(cost):

@@ -393,6 +393,27 @@ class TestMatchColumns:
                 cost[i] = np.linalg.norm(truth - found[:, i : i + 1], axis=0)
             assert errors == [float(cost[i, j]) for i, j in enumerate(perm)]
 
+    def test_chain_errors_follow_the_matched_states(self):
+        truth = hmm_random_params(4, 3, seed=61)
+        order = [2, 0, 1]  # found state i is true state order[i]
+        stationary_bump = np.array([1e-3, 2e-3, 4e-3])
+        transition = truth.transition[np.ix_(order, order)].copy()
+        transition[0] += np.array([1e-4, 2e-4, 4e-4])
+        result = moment_learners.HmmLearnResult(
+            observation_means=truth.observation_means[:, order],
+            stationary=truth.stationary[order] + stationary_bump,
+            transition=transition,
+        )
+        moment_learners._match_hmm(result, truth)
+        assert result.permutation == order
+        assert result.observation_errors == [0.0, 0.0, 0.0]
+        # true state j is found state order.index(j)
+        found_of = [order.index(j) for j in range(3)]
+        assert result.stationary_errors == pytest.approx(stationary_bump[found_of])
+        assert result.transition_errors == pytest.approx(
+            np.array([1e-4, 2e-4, 4e-4])[found_of]
+        )
+
 
 class TestStationaryDistribution:
     def test_two_state_closed_form(self):
