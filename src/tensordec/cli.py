@@ -9,7 +9,8 @@ input/output digests. Primary outputs are byte-identical for a fixed seed
 regardless of --threads; the manifest differs only in wall time.
 
 Exit codes: 2 for unreadable inputs and bad flags, 3 for degenerate
-numerical situations (retries exhausted), 4 for violated preconditions.
+numerical situations (retries exhausted), 4 for violated preconditions
+and for a run whose arrays do not fit in memory.
 """
 
 import argparse
@@ -528,6 +529,9 @@ def main(argv=None):
         return 3
     except PreconditionError as exc:
         print(f"tensordec: precondition violated: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"tensordec: does not fit in memory: {exc}", file=sys.stderr)
         return 4
 
     os.makedirs(args.out, exist_ok=True)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import DegeneracyError, PreconditionError
 from .matrix_ops import condition_number, eig_nonsymmetric, pseudoinverse, truncated_svd
 from .seeding import TAG_JENNRICH, derive_rng
-from .tensor_core import CpDecomposition, slice_combination
+from .tensor_core import CpDecomposition, _cp_dense, slice_combination
 
 AUTO_RANK_THRESHOLD = 1e-6
 # Smallest acceptable eigenvalue gap and magnitude before a draw is rejected.
@@ -277,17 +277,21 @@ def match_terms(found, truth):
 
     The assignment minimizes the maximum Frobenius distance between whole
     rank-one terms, so the result is immune to per-column scaling and sign
-    choices (both sides are in canonical form). Ranks must agree. The k
-    true terms are held dense; the found ones are built one at a time.
+    choices (both sides are in canonical form). Ranks must agree. Each term
+    is one array from the kernel of ``synthesize``; the k true terms are
+    held, the found ones are built one at a time.
     """
     if found.shape != truth.shape:
         raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
     if found.rank != truth.rank:
         raise PreconditionError(f"rank mismatch: {found.rank} vs {truth.rank}")
-    k = found.rank
+
+    def dense_term(d, i):
+        return _cp_dense([f[:, i : i + 1] for f in d.factors], d.weights[i : i + 1]).data
+
     perm, errors, bottleneck = _bottleneck_match(
-        (found.term(i).data for i in range(k)),
-        [truth.term(j).data for j in range(k)],
+        (dense_term(found, i) for i in range(found.rank)),
+        [dense_term(truth, j) for j in range(truth.rank)],
     )
     return RecoveryReport(
         condition_numbers=[_safe_kappa(f) for f in found.factors],

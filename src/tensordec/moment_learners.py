@@ -21,6 +21,7 @@ resolves it through two auxiliary moments, the center observation mean
 and the center-future cross moment, both estimated from the same windows.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,8 +195,7 @@ def _third_moment(a, b, c):
         rows = slice(start, start + _PRODUCT_BLOCK)
         at = np.ascontiguousarray(a[rows].T)
         bt = np.ascontiguousarray(b[rows].T)
-        ab_t = (at[:, None, :] * bt[None, :, :]).reshape(width, -1)
-        acc += ab_t @ c[rows]
+        acc += khatri_rao(at, bt) @ c[rows]
     return acc.reshape(a.shape[1], b.shape[1], c.shape[1]) / n_rows
 
 
@@ -396,16 +396,6 @@ def hmm_sample(params, n_windows, window=3, seed=0, mapper=map):
     return fill_blocks(out, _MOMENT_BLOCK, fill, mapper)
 
 
-def _block_kron(windows, time_indices):
-    """Per-sample Kronecker product of the observations at the given times,
-    first listed time as the major index."""
-    n_samples = windows.shape[0]
-    out = windows[:, time_indices[0], :]
-    for t in time_indices[1:]:
-        out = (out[:, :, None] * windows[:, t, None, :]).reshape(n_samples, -1)
-    return out
-
-
 def _window_blocks(windows, context):
     windows = np.asarray(windows, dtype=np.float64)
     context = int(context)
@@ -415,10 +405,12 @@ def _window_blocks(windows, context):
         raise PreconditionError(
             f"window length {windows.shape[1]} does not match context {context}"
         )
-    left = _block_kron(windows, list(range(context - 1, -1, -1)))
-    center = windows[:, context, :]
-    right = _block_kron(windows, list(range(context + 1, 2 * context + 1)))
-    return left, center, right
+    # per-sample Kronecker product of each side, nearest to the center major
+    left, right = (
+        functools.reduce(khatri_rao, [windows[:, t, :].T for t in times]).T
+        for times in (range(context - 1, -1, -1), range(context + 1, 2 * context + 1))
+    )
+    return left, windows[:, context, :], right
 
 
 def hmm_moment_tensor(windows, context=1):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .jennrich import jennrich_decompose
-from .tensor_core import CpDecomposition, _als_refine, _outer, flatten_to_order3
+from .tensor_core import CpDecomposition, _als_refine, _cp_dense, flatten_to_order3
 
 SUSPECT_RESIDUAL = 1e-3
 
@@ -115,23 +115,24 @@ def unflatten_rank_one(v, mode_sizes):
         residual = float(np.linalg.norm(s[1:]) / total)
         return vectors, residual
     unfoldings = (np.moveaxis(block, j, 0).reshape(n, -1) for j, n in enumerate(sizes))
-    start = [np.linalg.svd(m, full_matrices=False)[0][:, 0] for m in unfoldings]
-    scale = float(np.vdot(block, _outer(start)))
+    start = [np.linalg.svd(m, full_matrices=False)[0][:, :1] for m in unfoldings]
+    scale = float(np.vdot(block, _cp_dense(start, np.ones(1)).data))
     if scale == 0.0:
         # Tied top singular vectors can contract the block to zero, a start
         # ALS never leaves; start from the fibres through the largest entry.
         peak = np.unravel_index(np.argmax(np.abs(block)), block.shape)
         start = []
         for j in range(block.ndim):
-            fibre = block[peak[:j] + (slice(None),) + peak[j + 1 :]]
+            fibre = block[peak[:j] + (slice(None),) + peak[j + 1 :]][:, None]
             start.append(fibre / np.linalg.norm(fibre))
-        scale = float(np.vdot(block, _outer(start)))
+        scale = float(np.vdot(block, _cp_dense(start, np.ones(1)).data))
     start[0] = start[0] * scale
-    fitted = [f[:, 0] for f in _als_refine(block, [x[:, None] for x in start])]
+    fitted = _als_refine(block, start)
     norms = [float(np.linalg.norm(f)) or 1.0 for f in fitted[1:]]
-    vectors = [fitted[0] * math.prod(norms)]
-    vectors += [f / norm for f, norm in zip(fitted[1:], norms)]
-    return vectors, float(np.linalg.norm(block - _outer(vectors)) / total)
+    columns = [fitted[0] * math.prod(norms)]
+    columns += [f / norm for f, norm in zip(fitted[1:], norms)]
+    residual = np.linalg.norm(block - _cp_dense(columns, np.ones(1)).data) / total
+    return [c[:, 0] for c in columns], float(residual)
 
 
 def overcomplete_decompose(t, plan=None, config=None):

@@ -272,15 +272,15 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         raise PreconditionError(f"unknown subspace family {subspace!r}")
 
     if base_point == "zero":
-        base = np.zeros(n)
+        base = np.zeros((n, 1))
     elif base_point == "ones":
-        base = np.ones(n) / np.sqrt(n)
+        base = np.ones((n, 1)) / np.sqrt(n)
     else:
         raise PreconditionError(f"unknown base point {base_point!r}")
 
     def draw(rng):
         vecs = [perturb_matrix(base, rho, rng) for _ in range(order)]
-        return vecs[0] if order == 1 else np.outer(vecs[0], vecs[1]).ravel()
+        return functools.reduce(khatri_rao, vecs)[:, 0]
 
     def projection_norms(flats):
         return np.linalg.norm(flats @ basis, axis=1)

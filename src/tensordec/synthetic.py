@@ -13,7 +13,7 @@ from .errors import DegeneracyError, PreconditionError
 from .matrix_ops import condition_number
 from .moment_learners import GmmParams, HmmParams, stationary_distribution
 from .seeding import TAG_SYNTH, derive_rng
-from .smoothed_lab import perturb_matrix
+from .smoothed_lab import _check_rho, perturb_matrix
 from .tensor_core import CpDecomposition
 
 _MAX_DRAWS = 64
@@ -37,8 +37,7 @@ def _smoothed_columns(rng, n, k, rho):
     """Random unit columns, each coordinate then given N(0, rho^2/n) noise,
     renormalized. A rho that is not positive and finite, or whose perturbed
     column norms overflow float64, is a PreconditionError."""
-    if not 0 < rho < np.inf:
-        raise PreconditionError(f"rho must be positive and finite, got {rho}")
+    _check_rho(rho, 1)
     noised = perturb_matrix(_unit_columns(rng.standard_normal((n, k))), rho, rng)
     with np.errstate(over="ignore"):  # the finiteness check reports overflow
         norms = np.linalg.norm(noised, axis=0)

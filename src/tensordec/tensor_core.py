@@ -5,6 +5,8 @@ decomposition is a list of factor matrices (one per mode, columns indexed
 by term) together with per-term weights; instances are always held in
 canonical form: unit-norm columns, magnitudes folded into the weights,
 and each column's sign fixed so that its first nonzero entry is positive.
+``_cp_dense`` is the one evaluator of dense rank-one and CP tensors, and
+``khatri_rao`` the one column-wise Kronecker product.
 """
 
 import functools
@@ -153,19 +155,8 @@ class CpDecomposition:
     def weights(self):
         return self._weights
 
-    def term(self, i):
-        """Rank-one term ``i`` as a DenseTensor."""
-        if not 0 <= i < self.rank:
-            raise IndexError(f"term index {i} out of range")
-        vecs = [f[:, i] for f in self._factors]
-        return DenseTensor(self._weights[i] * _outer(vecs))
-
     def __repr__(self):
         return f"CpDecomposition(shape={self.shape}, rank={self.rank})"
-
-
-def _outer(vectors):
-    return functools.reduce(np.multiply.outer, vectors)
 
 
 def outer_product(vectors):
@@ -176,7 +167,7 @@ def outer_product(vectors):
     for v in vecs:
         if v.ndim != 1 or v.shape[0] < 1:
             raise PreconditionError("outer_product takes nonempty 1-D vectors")
-    return DenseTensor(_outer(vecs))
+    return _cp_dense([v[:, None] for v in vecs], np.ones(1))
 
 
 def synthesize(d):
@@ -314,11 +305,12 @@ def border_rank_fixture(u, v, m):
         raise PreconditionError("u and v must be orthogonal")
     if not m > 0:
         raise PreconditionError("m must be positive")
-    a = _outer([u, u, v]) + _outer([v, u, u]) + _outer([u, v, u])
+    # column i of each mode's factor belongs to term i: u(x)u(x)v, v(x)u(x)u, u(x)v(x)u
+    a = _cp_dense([np.column_stack(c) for c in ((u, v, u), (u, u, v), (v, u, u))], np.ones(3))
     x = u + v / m
     factors = [np.column_stack([x, u]) for _ in range(3)]
     approx = CpDecomposition(factors, [m, -m])
-    return DenseTensor(a), approx
+    return a, approx
 
 
 # ---------------------------------------------------------------------------

@@ -500,6 +500,22 @@ class TestLab:
         assert not out.exists()
 
 
+class TestOutOfMemory:
+    # each run asks for one array above 128 TiB, past the user address space
+    # of a 64-bit machine, so the allocation fails at once and nothing is
+    # touched: a (5e6, 5e6) Khatri-Rao product (182 TiB) while synthesizing,
+    # and a (1e13, 3) sample array (218 TiB)
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--shape", "5000000,5000000,5000000", "--rank", "1"],
+        ["learn", "gmm", "--k", "2", "--n", "3", "--samples", "10000000000000"],
+    ], ids=["synth", "learn-gmm"])
+    def test_impossible_allocation_exits_4(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 4
+        assert "does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIgnoredFlags:
     @pytest.mark.parametrize(
         "argv, flag",

@@ -285,10 +285,12 @@ class TestMatchTerms:
         # the bottleneck assignment pairs the mixed term with truth 0
         assert report.permutation == [0, 1]
 
-    def test_holds_the_true_terms_and_one_found_term(self):
-        shape, k = (32, 32, 32), 16
-        truth = random_decomposition(shape, k, seed=25)
-        found = random_decomposition(shape, k, seed=26)
+    @staticmethod
+    def _peak_in_terms(n, k):
+        """tracemalloc peak of matching two n^3 rank-k decompositions, in
+        dense n^3 terms."""
+        truth = random_decomposition((n, n, n), k, seed=25)
+        found = random_decomposition((n, n, n), k, seed=26)
         match_terms(found, truth)  # one-time lazy imports stay out of the count
         tracemalloc.start()
         try:
@@ -296,8 +298,16 @@ class TestMatchTerms:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak / (8 * n**3)
+
+    def test_holds_the_true_terms_and_one_found_term(self):
         # the k true terms, one found term and one difference, plus slack
-        assert peak < (k + 3) * 8 * 32**3
+        assert self._peak_in_terms(32, 16) < 16 + 3
+
+    def test_stores_each_term_without_a_copy(self):
+        # at 64^3 rank 4 the other temporaries are small, so a second copy
+        # of a found term would show above the k + 2 terms held
+        assert self._peak_in_terms(64, 4) < 4 + 2.05
 
     def test_columns_pair_like_order_one_terms(self):
         rng = np.random.default_rng(27)

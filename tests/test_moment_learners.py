@@ -1,5 +1,7 @@
 """Mixture and chain learners: samplers, moment statistics, recovery."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -561,6 +563,20 @@ class TestHmmMoments:
         assert_rel_close(got.center_second, center.T @ center / n_rows, 1e-13)
         tensor = hmm_moment_tensor(windows, context).data
         assert np.array_equal(got.tensor.data, tensor)
+
+    @pytest.mark.parametrize("context", [2, 3])
+    def test_window_blocks_match_per_sample_kron(self, context):
+        params = hmm_random_params(3, 2, seed=37, noise_scale=0.1)
+        windows = hmm_sample(params, 200, window=2 * context + 1, seed=38)
+        left, center, right = moment_learners._window_blocks(windows, context)
+
+        def fused(times):
+            # the reference: one np.kron chain per sample, nearest time major
+            return np.array([functools.reduce(np.kron, [w[t] for t in times]) for w in windows])
+
+        assert np.array_equal(left, fused(range(context - 1, -1, -1)))
+        assert np.array_equal(center, windows[:, context])
+        assert np.array_equal(right, fused(range(context + 1, 2 * context + 1)))
 
     def test_window_length_must_match_context(self):
         params = hmm_random_params(2, 2, seed=31)

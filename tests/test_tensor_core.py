@@ -178,15 +178,6 @@ class TestCpDecomposition:
             np.testing.assert_allclose(d.weights, ref_w, rtol=1e-14, atol=0.0)
             assert np.array_equal(d.factors[0][:, 0], np.zeros(d.shape[0]))
 
-    def test_term_reconstruction(self):
-        d = CpDecomposition(
-            [np.array([[1.0], [0.0]]), np.array([[0.0], [2.0]])], [3.0]
-        )
-        term = d.term(0)
-        assert term.entry(0, 1) == pytest.approx(6.0)
-        with pytest.raises(IndexError):
-            d.term(1)
-
     def test_factors_read_only(self):
         d = CpDecomposition([np.eye(2)], np.ones(2))
         with pytest.raises(ValueError):
