@@ -15,45 +15,21 @@ from .jennrich import (
     match_columns,
     match_terms,
 )
-from .matrix_ops import (
-    condition_number,
-    eig_nonsymmetric,
-    leave_one_out,
-    pseudoinverse,
-)
+from .matrix_ops import leave_one_out
 from .moment_learners import (
-    GmmLearnResult,
-    GmmParams,
-    HmmLearnResult,
-    HmmMoments,
-    HmmParams,
     gmm_learn,
     gmm_learn_from_moments,
     gmm_sample,
-    gmm_second_moment,
     gmm_statistic_exact,
-    gmm_statistic_t3,
-    hmm_empirical_moments,
     hmm_exact_moments,
     hmm_learn,
     hmm_learn_from_moments,
-    hmm_moment_tensor,
     hmm_sample,
 )
-from .overcomplete import FlatteningPlan, overcomplete_decompose, unflatten_rank_one
-from .power_method import (
-    OrthogonalDecomposition,
-    PowerConfig,
-    WhiteningResult,
-    deflate_decompose,
-    whiten,
-)
+from .overcomplete import FlatteningPlan, overcomplete_decompose
+from .power_method import PowerConfig, deflate_decompose, whiten
 from .seeding import derive_rng
 from .smoothed_lab import (
-    KrSigmaResult,
-    PivotBasis,
-    PivotBasisL2,
-    ProjectionResult,
     build_pivot_basis,
     build_pivot_basis_l2,
     kr_sigma_experiment,
@@ -72,12 +48,9 @@ from .tensor_core import (
     DenseTensor,
     border_rank_fixture,
     decomposition_to_dict,
-    flatten_to_order3,
     frobenius_norm,
-    khatri_rao,
     read_decomposition,
     read_tnsr,
-    slice_combination,
     synthesize,
 )
 
@@ -88,63 +61,41 @@ __all__ = [
     "DenseTensor",
     "FlatteningPlan",
     "FormatError",
-    "GmmLearnResult",
-    "GmmParams",
-    "HmmLearnResult",
-    "HmmMoments",
-    "HmmParams",
     "JennrichConfig",
-    "KrSigmaResult",
-    "OrthogonalDecomposition",
-    "PivotBasis",
-    "PivotBasisL2",
     "PowerConfig",
     "PreconditionError",
-    "ProjectionResult",
     "RecoveryReport",
     "TensordecError",
-    "WhiteningResult",
     "border_rank_fixture",
     "build_pivot_basis",
     "build_pivot_basis_l2",
-    "condition_number",
     "decomposition_to_dict",
     "deflate_decompose",
     "derive_rng",
-    "eig_nonsymmetric",
-    "flatten_to_order3",
     "frobenius_norm",
     "gmm_learn",
     "gmm_learn_from_moments",
     "gmm_orthogonal_params",
     "gmm_sample",
-    "gmm_second_moment",
     "gmm_smoothed_params",
     "gmm_statistic_exact",
-    "gmm_statistic_t3",
-    "hmm_empirical_moments",
     "hmm_exact_moments",
     "hmm_learn",
     "hmm_learn_from_moments",
-    "hmm_moment_tensor",
     "hmm_random_params",
     "hmm_sample",
     "jennrich_decompose",
-    "khatri_rao",
     "kr_sigma_experiment",
     "leave_one_out",
     "match_columns",
     "match_terms",
     "overcomplete_decompose",
     "projection_experiment",
-    "pseudoinverse",
     "random_decomposition",
     "random_orthogonal_symmetric",
     "read_decomposition",
     "read_tnsr",
-    "slice_combination",
     "smoothed_decomposition",
     "synthesize",
-    "unflatten_rank_one",
     "whiten",
 ]

@@ -16,6 +16,7 @@ and for a run whose arrays do not fit in memory.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,6 +32,7 @@ from .overcomplete import FlatteningPlan, overcomplete_decompose
 from .power_method import PowerConfig, deflate_decompose, whiten
 from .seeding import TAG_LAB, TAG_NOISE, derive_rng
 from .smoothed_lab import (
+    _check_budget,
     build_pivot_basis,
     build_pivot_basis_l2,
     kr_sigma_experiment,
@@ -131,6 +133,8 @@ def _report_dict(report, tensor=None):
 # Subcommand handlers. Each returns (outputs: {filename: bytes}, inputs: [path]).
 
 def cmd_synth(args, seed, mapper):
+    if not math.isfinite(2 * args.noise):
+        raise PreconditionError(f"--noise {args.noise}: the range 2*noise is not finite")
     shape = _parse_shape(args.shape)
     if args.model == "exact":
         if args.rho is not None:
@@ -310,6 +314,7 @@ def cmd_lab_pivot(args, seed, mapper):
     ambient = n if args.order == 1 else n * n
     if not 1 <= dim <= ambient:
         raise PreconditionError(f"--dim must lie in [1, {ambient}]")
+    _check_budget(ambient * dim, "a pivot basis (n^l * dim)")
     rng = derive_rng(seed, TAG_LAB, 0)
     basis, _ = np.linalg.qr(rng.standard_normal((ambient, dim)))
     if args.order == 1:

@@ -280,13 +280,13 @@ def _whitened_means(whitened, back, k, method, seed):
 
 
 def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
-                           seed=0, plan=None):
+                           seed=0):
     """Recover mixture means from a moment tensor of odd order.
 
     ``method="power"`` (order 3 only) whitens ``t`` against the order-2
-    moment first. ``method="jennrich"`` decomposes ``t`` through the
-    flattening ``plan`` (at order 3 the identity plan is plain simultaneous
-    diagonalization), which makes ``k`` beyond the dimension reachable.
+    moment first. ``method="jennrich"`` decomposes ``t`` through the default
+    flattening plan (at order 3 plain simultaneous diagonalization), which
+    makes ``k`` beyond the dimension reachable.
     Unit directions are rescaled by ``(k * weight)^(1/order)`` to undo the
     uniform 1/k weight.
     """
@@ -305,7 +305,7 @@ def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
         wres = whiten(t, second_moment, k)
         return _whitened_means(wres.tensor, wres.back_map, k, method, seed)
     decomposition, report = overcomplete_decompose(
-        t, plan=plan, config=JennrichConfig(rank=k, seed=seed)
+        t, config=JennrichConfig(rank=k, seed=seed)
     )
     scale = _component_scale(order, k, decomposition.weights)
     return GmmLearnResult(

@@ -75,46 +75,65 @@ def default_plan(shape):
     return FlatteningPlan(order=ell, groups=groups)
 
 
-def unflatten_rank_one(v, mode_sizes):
-    """Best rank-one fit of a flattened vector, split over the given modes.
+def unflatten_rank_one(columns, mode_sizes):
+    """Best rank-one fit of each column of a grouped factor matrix, split
+    over the given modes.
 
-    Returns ``(vectors, residual)`` where the outer product of ``vectors``
-    is the fitted rank-one tensor (the fitted scale rides on the first
-    vector, the others are unit) and ``residual`` is the relative Frobenius
-    error of the fit. A residual far from zero means the input was not
-    close to rank one.
+    ``columns`` is (N, k), each column a flattened tensor of shape
+    ``mode_sizes``. Returns ``(factors, residuals)``: column i of the
+    (n_j, k) matrices ``factors[j]`` holds the vectors whose outer product
+    is the fitted rank-one tensor of column i (the fitted scale rides on
+    the first, the others are unit), and ``residuals[i]`` is that fit's
+    relative Frobenius error. A residual far from zero means the column was
+    not close to rank one. A zero column fits as zero vectors, residual 0.
 
-    Two modes are solved exactly by a truncated SVD. Three or more use the
-    package's ALS refinement at rank one, started from each unfolding's top
-    left singular vector with the fitted scale on the first, so an exact
-    rank-one input stops after one sweep. Where that start fits a scale of
-    exactly zero, the fibres through the largest-magnitude entry start it
-    instead.
+    One mode returns the columns as they are. Two modes are solved exactly
+    by one stacked truncated SVD of all k blocks. Three or more fit column
+    by column with the package's ALS refinement at rank one, started from
+    each unfolding's top left singular vector with the fitted scale on the
+    first, so an exact rank-one input stops after one sweep. Where that
+    start fits a scale of exactly zero, the fibres through the
+    largest-magnitude entry start it instead.
     """
-    v = np.asarray(v, dtype=np.float64)
+    columns = np.asarray(columns, dtype=np.float64)
     sizes = [int(s) for s in mode_sizes]
-    if v.ndim != 1:
-        raise PreconditionError("unflatten_rank_one takes a flat vector")
+    if columns.ndim != 2:
+        raise PreconditionError("unflatten_rank_one takes an (N, k) matrix")
     if any(s < 1 for s in sizes):
         raise PreconditionError("mode sizes must be positive")
-    if v.shape[0] != int(np.prod(sizes)):
+    if columns.shape[0] != math.prod(sizes):
         raise PreconditionError(
-            f"vector of length {v.shape[0]} does not fill modes {sizes}"
+            f"columns of length {columns.shape[0]} do not fill modes {sizes}"
         )
+    k = columns.shape[1]
     if len(sizes) == 1:
-        return [v.copy()], 0.0
-    total = float(np.linalg.norm(v))
-    if total == 0.0:
-        vecs = [np.zeros(s) for s in sizes]
-        return vecs, 0.0
-    block = v.reshape(sizes)
+        return [columns.copy()], np.zeros(k)
+    # 1-D norms: an axis-wise norm sums in another order and moves last bits
+    totals = np.array([np.linalg.norm(c) for c in columns.T])
+    zero = totals == 0.0
     if len(sizes) == 2:
-        u, s, vh = np.linalg.svd(block, full_matrices=False)
-        vectors = [u[:, 0] * float(s[0]), vh[0]]
+        u, s, vh = np.linalg.svd(columns.T.reshape(k, *sizes), full_matrices=False)
+        first, second = (u[:, :, 0] * s[:, :1]).T.copy(), vh[:, 0, :].T.copy()
+        first[:, zero] = second[:, zero] = 0.0
         # tail singular values give the residual without cancellation
-        residual = float(np.linalg.norm(s[1:]) / total)
-        return vectors, residual
-    unfoldings = (np.moveaxis(block, j, 0).reshape(n, -1) for j, n in enumerate(sizes))
+        tails = np.array([np.linalg.norm(tail) for tail in s[:, 1:]])
+        return [first, second], tails / np.where(zero, 1.0, totals)
+    factors = [np.zeros((n, k)) for n in sizes]
+    residuals = np.zeros(k)
+    for i in np.flatnonzero(~zero):
+        # a contiguous block: a strided one changes the ALS products' order
+        block = np.ascontiguousarray(columns[:, i]).reshape(sizes)
+        vectors, residuals[i] = _rank_one_als(block, totals[i])
+        for factor, vector in zip(factors, vectors):
+            factor[:, i] = vector[:, 0]
+    return factors, residuals
+
+
+def _rank_one_als(block, total):
+    """The rank-one ALS fit of a nonzero block of three or more modes, as
+    (n_j, 1) columns, and its residual relative to ``total``."""
+    unfoldings = (np.moveaxis(block, j, 0).reshape(n, -1)
+                  for j, n in enumerate(block.shape))
     start = [np.linalg.svd(m, full_matrices=False)[0][:, :1] for m in unfoldings]
     scale = float(np.vdot(block, _cp_dense(start, np.ones(1)).data))
     if scale == 0.0:
@@ -129,21 +148,21 @@ def unflatten_rank_one(v, mode_sizes):
     start[0] = start[0] * scale
     fitted = _als_refine(block, start)
     norms = [float(np.linalg.norm(f)) or 1.0 for f in fitted[1:]]
-    columns = [fitted[0] * math.prod(norms)]
-    columns += [f / norm for f, norm in zip(fitted[1:], norms)]
-    residual = np.linalg.norm(block - _cp_dense(columns, np.ones(1)).data) / total
-    return [c[:, 0] for c in columns], float(residual)
+    vectors = [fitted[0] * math.prod(norms)]
+    vectors += [f / norm for f, norm in zip(fitted[1:], norms)]
+    residual = np.linalg.norm(block - _cp_dense(vectors, np.ones(1)).data) / total
+    return vectors, residual
 
 
 def overcomplete_decompose(t, plan=None, config=None):
     """Decompose an order >= 3 tensor through a three-way flattening.
 
     Flattens ``t`` per ``plan`` (default: :func:`default_plan`), decomposes
-    the order-3 result, then splits every grouped factor column back into
-    per-mode unit vectors. Per-term unflattening residuals land in the
-    report; terms with residual above 1e-3 are listed as suspect. With
-    the identity plan on an order-3 tensor this is exactly the order-3
-    decomposition.
+    the order-3 result, then splits each group's factor matrix back into
+    per-mode factors. Per-term unflattening residuals (the largest over the
+    groups) land in the report; terms with residual above 1e-3 are listed
+    as suspect. With the identity plan on an order-3 tensor this is exactly
+    the order-3 decomposition.
     """
     if t.order < 3:
         raise PreconditionError("overcomplete_decompose expects order >= 3")
@@ -157,23 +176,14 @@ def overcomplete_decompose(t, plan=None, config=None):
 
     flat = flatten_to_order3(t, *plan.groups)
     d3, report = jennrich_decompose(flat, config)
-    k = d3.rank
-    factors = [np.zeros((t.shape[mode], k)) for mode in range(t.order)]
-    residuals = []
-    for i in range(k):
-        worst = 0.0
-        for gidx, group in enumerate(plan.groups):
-            col = d3.factors[gidx][:, i]
-            if len(group) == 1:
-                parts = [col]
-            else:
-                parts, resid = unflatten_rank_one(
-                    col, [t.shape[mode] for mode in group]
-                )
-                worst = max(worst, resid)
-            for mode, vec in zip(group, parts):
-                factors[mode][:, i] = vec
-        residuals.append(worst)
+    factors = [None] * t.order
+    group_residuals = []
+    for group, columns in zip(plan.groups, d3.factors):
+        parts, residuals = unflatten_rank_one(columns, [t.shape[mode] for mode in group])
+        for mode, part in zip(group, parts):
+            factors[mode] = part
+        group_residuals.append(residuals)
+    residuals = np.max(group_residuals, axis=0).tolist()
     decomposition = CpDecomposition(factors, d3.weights)
     report.unflatten_residuals = residuals
     report.suspect_terms = [

@@ -112,6 +112,29 @@ class TestSynth:
         assert "--noise" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_noise_with_an_infinite_range_exits_4(self, tmp_path):
+        # 2 * 1e308 overflows the range of the uniform draw; the run must stop
+        # before numpy sees it, so warnings are errors here. 8e307 still fits.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smoothed_lab.__file__)))
+
+        def synth(noise):
+            out = tmp_path / noise
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "tensordec.cli", "synth",
+                 "--shape", "4,4,4", "--rank", "2", "--noise", noise, "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                timeout=120,
+            )
+            return proc, out
+
+        proc, out = synth("1e308")
+        assert proc.returncode == 4, proc.stderr
+        assert "--noise" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+        proc, out = synth("8e307")
+        assert proc.returncode == 0, proc.stderr
+        assert np.all(np.isfinite(read_tnsr(str(out / "tensor.tnsr")).data))
+
     def test_bad_shape_exit_code(self, tmp_path):
         code, out = run(tmp_path, "synth", "--shape", "8,oops", "--rank", "2")
         assert code == 4
@@ -489,6 +512,21 @@ class TestLab:
         payload = read_json(out / "pivot.json")
         assert payload["invariants_pass"] is True
         assert sum(payload["row_counts"]) == payload["count"]
+
+    def test_pivot_basis_over_budget_exits_4(self, tmp_path, capsys):
+        # a (4096, 2000) basis is 8.2M entries, past the 2^22 budget: rejected
+        # before the Gaussian draw
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path, "lab", "pivot", "--n", "64", "--l", "2",
+                            "--dim", "2000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "pivot basis" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("order", ["1", "2"])
     @pytest.mark.parametrize("n", ["-3", "0"])

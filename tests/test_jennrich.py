@@ -20,12 +20,11 @@ from tensordec import (
     jennrich_decompose,
     match_columns,
     match_terms,
-    pseudoinverse,
     random_decomposition,
-    slice_combination,
     synthesize,
 )
-from tensordec.tensor_core import outer_product
+from tensordec.matrix_ops import pseudoinverse
+from tensordec.tensor_core import outer_product, slice_combination
 from tensordec import jennrich
 from tensordec.seeding import TAG_JENNRICH, derive_rng
 

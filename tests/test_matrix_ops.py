@@ -6,12 +6,15 @@ import scipy.linalg
 
 from tensordec import (
     PreconditionError,
+    leave_one_out,
+)
+from tensordec.matrix_ops import (
+    _basis_rank,
+    _null_space,
     condition_number,
     eig_nonsymmetric,
-    leave_one_out,
     pseudoinverse,
 )
-from tensordec.matrix_ops import _basis_rank, _null_space
 
 
 class TestPseudoinverse:

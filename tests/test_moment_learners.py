@@ -7,29 +7,33 @@ import pytest
 
 from tensordec import (
     DegeneracyError,
-    GmmParams,
-    HmmParams,
     PreconditionError,
     gmm_learn,
     gmm_learn_from_moments,
     gmm_orthogonal_params,
     gmm_sample,
-    gmm_second_moment,
     gmm_smoothed_params,
     gmm_statistic_exact,
-    gmm_statistic_t3,
-    hmm_empirical_moments,
     hmm_exact_moments,
     hmm_learn,
     hmm_learn_from_moments,
-    hmm_moment_tensor,
     hmm_random_params,
     hmm_sample,
     match_columns,
 )
-from tensordec import FlatteningPlan, JennrichConfig, jennrich_decompose, moment_learners
+from tensordec import JennrichConfig, jennrich_decompose, moment_learners
 from tensordec.matrix_ops import pseudoinverse
-from tensordec.moment_learners import _PRODUCT_BLOCK, _third_moment, stationary_distribution
+from tensordec.moment_learners import (
+    _PRODUCT_BLOCK,
+    GmmParams,
+    HmmParams,
+    _third_moment,
+    gmm_second_moment,
+    gmm_statistic_t3,
+    hmm_empirical_moments,
+    hmm_moment_tensor,
+    stationary_distribution,
+)
 from tensordec.tensor_core import CpDecomposition, _als_refine, khatri_rao
 
 
@@ -344,21 +348,14 @@ class TestGmmLearn:
         with pytest.raises(PreconditionError, match="bogus"):
             gmm_learn(samples, k, method="bogus")
 
-    @pytest.mark.parametrize("plan", [None, FlatteningPlan(3, ((0,), (1,), (2,)))],
-                             ids=["default", "identity"])
-    def test_order3_jennrich_equals_direct_decomposition(self, plan):
+    def test_order3_jennrich_equals_direct_decomposition(self):
         params = gmm_orthogonal_params(6, 3, norm=4.0, seed=25)
         t3 = gmm_statistic_exact(params, order=3)
         direct, _ = jennrich_decompose(t3, JennrichConfig(rank=3, seed=26))
-        got = gmm_learn_from_moments(t3, 3, seed=26, plan=plan).decomposition
+        got = gmm_learn_from_moments(t3, 3, seed=26).decomposition
         assert got.weights.tobytes() == direct.weights.tobytes()
         for a, b in zip(got.factors, direct.factors):
             assert a.tobytes() == b.tobytes()
-
-    def test_order3_plan_is_not_ignored(self):
-        t3 = gmm_statistic_exact(gmm_orthogonal_params(4, 2, seed=27), order=3)
-        with pytest.raises(PreconditionError, match="plan covers 5 modes"):
-            gmm_learn_from_moments(t3, 2, plan=FlatteningPlan(5, ((0, 1), (2, 3), (4,))))
 
     def test_power_method_is_default(self):
         params = gmm_orthogonal_params(6, 2, norm=4.0, seed=17)

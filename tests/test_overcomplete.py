@@ -1,9 +1,12 @@
 """Khatri-Rao flattening: plans, rank-one unflattening, overcomplete recovery."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tensordec import (
+    DenseTensor,
     FlatteningPlan,
     JennrichConfig,
     PreconditionError,
@@ -12,11 +15,10 @@ from tensordec import (
     overcomplete_decompose,
     smoothed_decomposition,
     synthesize,
-    unflatten_rank_one,
 )
 from tensordec import tensor_core
-from tensordec.overcomplete import default_plan
-from tensordec.tensor_core import outer_product
+from tensordec.overcomplete import default_plan, unflatten_rank_one
+from tensordec.tensor_core import flatten_to_order3, outer_product
 
 
 def _alternating_rank_one(block, max_iters=100, tol=1e-13):
@@ -102,55 +104,72 @@ class TestDefaultPlan:
         assert sum(len(g) for g in plan.groups) == 4
 
 
+def _fit(flat, sizes):
+    """The single-column call: one flat vector's fitted vectors and residual."""
+    factors, residuals = unflatten_rank_one(np.asarray(flat)[:, None], sizes)
+    return [f[:, 0] for f in factors], residuals[0]
+
+
 class TestUnflattenRankOne:
     def test_exact_two_mode(self):
         x = np.array([1.0, -2.0, 0.5])
         y = np.array([2.0, 1.0])
-        vecs, residual = unflatten_rank_one(np.kron(x, y), [3, 2])
-        assert residual <= 1e-10
-        assert np.allclose(np.kron(vecs[0], vecs[1]), np.kron(x, y), atol=1e-10)
+        factors, residuals = unflatten_rank_one(np.kron(x, y)[:, None], [3, 2])
+        assert [f.shape for f in factors] == [(3, 1), (2, 1)]
+        assert residuals[0] <= 1e-10
+        assert np.allclose(np.kron(factors[0][:, 0], factors[1][:, 0]), np.kron(x, y),
+                           atol=1e-10)
 
     def test_noisy_two_mode(self):
         rng = np.random.default_rng(0)
         x = np.array([1.0, -2.0, 0.5])
         y = np.array([2.0, 1.0])
         flat = np.kron(x, y) + rng.uniform(-1e-6, 1e-6, 6)
-        vecs, residual = unflatten_rank_one(flat, [3, 2])
+        _, residual = _fit(flat, [3, 2])
         assert residual <= 1e-5
 
     def test_identity_flatten_flagged_not_rank_one(self):
         # vec(I_2) has two equal singular values; the best rank-one fit
         # captures half the energy, so the relative residual is 1/sqrt(2).
-        vecs, residual = unflatten_rank_one(np.eye(2).ravel(), [2, 2])
+        _, residual = _fit(np.eye(2).ravel(), [2, 2])
         assert residual == pytest.approx(1.0 / np.sqrt(2), abs=1e-12)
 
     def test_exact_three_mode(self):
         rng = np.random.default_rng(1)
         xs = [rng.standard_normal(s) for s in (3, 2, 4)]
         flat = outer_product(xs).data.ravel()
-        vecs, residual = unflatten_rank_one(flat, [3, 2, 4])
+        vecs, residual = _fit(flat, [3, 2, 4])
         assert residual <= 1e-10
         recon = outer_product(vecs).data.ravel()
         assert np.allclose(recon, flat, atol=1e-10)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
-            unflatten_rank_one(np.ones(5), [2, 2])
+            unflatten_rank_one(np.ones((5, 2)), [2, 2])
+
+    def test_flat_vector_rejected(self):
+        with pytest.raises(PreconditionError, match=r"\(N, k\) matrix"):
+            unflatten_rank_one(np.ones(4), [2, 2])
 
     @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
     @pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-3, 1e-1])
     def test_matches_the_contraction_loop(self, sizes, noise):
         rng = np.random.default_rng(len(sizes))
+        blocks = []
         for _ in range(10):
             block = outer_product([rng.standard_normal(s) for s in sizes]).data
             scale = noise * np.linalg.norm(block) / np.sqrt(block.size)
-            block = block + scale * rng.standard_normal(sizes)
-            vecs, residual = unflatten_rank_one(block.ravel(), sizes)
+            blocks.append(block + scale * rng.standard_normal(sizes))
+        factors, residuals = unflatten_rank_one(
+            np.column_stack([b.ravel() for b in blocks]), sizes
+        )
+        for i, block in enumerate(blocks):
+            vecs = [f[:, i] for f in factors]
             ref = _alternating_rank_one(block)
             fit, ref_fit = outer_product(vecs).data, outer_product(ref).data
             assert np.linalg.norm(fit - ref_fit) <= 1e-12 * np.linalg.norm(block)
             ref_residual = np.linalg.norm(block - ref_fit) / np.linalg.norm(block)
-            assert residual == pytest.approx(ref_residual, rel=1e-9, abs=1e-14)
+            assert residuals[i] == pytest.approx(ref_residual, rel=1e-9, abs=1e-14)
             # the scale rides on the first vector, the others are unit
             assert np.allclose([np.linalg.norm(v) for v in vecs[1:]], 1.0, atol=1e-14)
 
@@ -159,7 +178,7 @@ class TestUnflattenRankOne:
         rng = np.random.default_rng(3)
         block = outer_product([rng.standard_normal(s) for s in sizes]).data
         sweeps = _count_sweeps(monkeypatch, len(sizes))
-        _, residual = unflatten_rank_one(block.ravel(), sizes)
+        _, residual = _fit(block.ravel(), sizes)
         assert residual <= 1e-14
         assert sweeps() == 1
 
@@ -167,9 +186,7 @@ class TestUnflattenRankOne:
         # e1(x)e2(x)e1 + e2(x)e1(x)e2: every unfolding's top singular vector
         # ties at e1, which contracts the block to zero; the fit must still
         # find one of the two terms, the best rank-one fit
-        e1, e2 = np.eye(2)
-        block = outer_product([e1, e2, e1]).data + outer_product([e2, e1, e2]).data
-        vecs, residual = unflatten_rank_one(block.ravel(), [2, 2, 2])
+        vecs, residual = _fit(_tied_block().ravel(), [2, 2, 2])
         assert all(np.all(np.isfinite(v)) for v in vecs)
         assert all(np.linalg.norm(v) > 0.5 for v in vecs)
         assert residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
@@ -181,8 +198,41 @@ class TestUnflattenRankOne:
         block = outer_product([rng.standard_normal(s) for s in (3, 3, 3)]).data
         block = block + 1e-2 * rng.standard_normal((3, 3, 3))
         sweeps = _count_sweeps(monkeypatch, 3)
-        unflatten_rank_one(block.ravel(), [3, 3, 3])
+        _fit(block.ravel(), [3, 3, 3])
         assert 1 < sweeps() < tensor_core._POLISH_SWEEPS
+
+    @pytest.mark.parametrize("sizes", [(6,), (3, 2), (2, 2, 2), (2, 3, 2, 3)])
+    def test_stacked_columns_equal_single_column_calls_bitwise(self, sizes):
+        rng = np.random.default_rng(5)
+        columns = [
+            outer_product([rng.standard_normal(s) for s in sizes]).data.ravel()
+            for _ in range(3)
+        ]
+        columns.append(rng.standard_normal(math.prod(sizes)))
+        columns.append(np.zeros(math.prod(sizes)))
+        if sizes == (2, 2, 2):
+            columns.append(_tied_block().ravel())
+        factors, residuals = unflatten_rank_one(np.column_stack(columns), sizes)
+        assert [f.shape for f in factors] == [(s, len(columns)) for s in sizes]
+        for i, column in enumerate(columns):
+            vecs, residual = _fit(column, sizes)
+            for f, v in zip(factors, vecs):
+                assert f[:, i].tobytes() == v.tobytes()
+            assert residuals[i].tobytes() == residual.tobytes()
+        # the zero column fits as zero vectors with residual 0
+        assert all(not np.any(f[:, 4]) for f in factors) and residuals[4] == 0.0
+
+    @pytest.mark.parametrize("sizes", [(6,), (3, 2), (2, 3, 1)])
+    def test_no_columns(self, sizes):
+        factors, residuals = unflatten_rank_one(np.zeros((6, 0)), sizes)
+        assert [f.shape for f in factors] == [(s, 0) for s in sizes]
+        assert residuals.shape == (0,)
+
+
+def _tied_block():
+    """e1(x)e2(x)e1 + e2(x)e1(x)e2, whose unfoldings' top singular vectors tie."""
+    e1, e2 = np.eye(2)
+    return outer_product([e1, e2, e1]).data + outer_product([e2, e1, e2]).data
 
 
 class TestOvercompleteDecompose:
@@ -240,6 +290,23 @@ class TestOvercompleteDecompose:
         assert match_terms(found, truth).max_error < 1e-10
         assert report.suspect_terms == []
         assert max(report.unflatten_residuals) < 1e-10
+
+    def test_term_residual_is_its_worst_group(self):
+        # noise makes every group's fit residual nonzero, so the worst group
+        # differs from term to term
+        truth = smoothed_decomposition((2, 3, 2, 3, 3), 4, rho=0.5, seed=11)
+        noisy = synthesize(truth).data
+        noisy = noisy + 1e-3 * np.random.default_rng(12).standard_normal(noisy.shape)
+        t, cfg = DenseTensor(noisy), JennrichConfig(rank=4, seed=13)
+        plan = FlatteningPlan(order=5, groups=((0, 1), (2, 3), (4,)))
+        _, report = overcomplete_decompose(t, plan=plan, config=cfg)
+        d3, _ = jennrich_decompose(flatten_to_order3(t, *plan.groups), cfg)
+        per_group = np.array([
+            unflatten_rank_one(columns, [t.shape[m] for m in group])[1]
+            for group, columns in zip(plan.groups, d3.factors)
+        ])
+        assert len(set(np.argmax(per_group, axis=0))) == 2
+        assert report.unflatten_residuals == np.max(per_group, axis=0).tolist()
 
     def test_report_carries_unflatten_residuals(self):
         truth = smoothed_decomposition((4, 4, 4, 4, 4), 6, rho=0.5, seed=9)

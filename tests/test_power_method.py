@@ -9,15 +9,12 @@ from tensordec import (
     CpDecomposition,
     DenseTensor,
     DegeneracyError,
-    OrthogonalDecomposition,
     PowerConfig,
     PreconditionError,
     deflate_decompose,
     frobenius_norm,
     gmm_orthogonal_params,
     gmm_sample,
-    gmm_second_moment,
-    gmm_statistic_t3,
     jennrich_decompose,
     match_terms,
     random_orthogonal_symmetric,
@@ -25,6 +22,8 @@ from tensordec import (
     whiten,
 )
 from tensordec import power_method
+from tensordec.moment_learners import gmm_second_moment, gmm_statistic_t3
+from tensordec.power_method import OrthogonalDecomposition
 from tensordec.seeding import TAG_POWER, derive_rng
 
 

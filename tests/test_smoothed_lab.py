@@ -7,16 +7,15 @@ import pytest
 import scipy.stats
 
 from tensordec import (
-    PivotBasis,
     PreconditionError,
     build_pivot_basis,
     build_pivot_basis_l2,
     derive_rng,
-    khatri_rao,
     kr_sigma_experiment,
     projection_experiment,
 )
-from tensordec.smoothed_lab import perturb_matrix, rotation_pair_basis
+from tensordec.smoothed_lab import PivotBasis, perturb_matrix, rotation_pair_basis
+from tensordec.tensor_core import khatri_rao
 from tensordec import smoothed_lab
 from tensordec.seeding import TAG_LAB
 

@@ -14,18 +14,18 @@ from tensordec import (
     PreconditionError,
     border_rank_fixture,
     decomposition_to_dict,
-    flatten_to_order3,
     frobenius_norm,
-    khatri_rao,
     read_decomposition,
     read_tnsr,
-    slice_combination,
     synthesize,
 )
 from tensordec import tensor_core
 from tensordec.tensor_core import (
     decomposition_from_dict,
+    flatten_to_order3,
+    khatri_rao,
     outer_product,
+    slice_combination,
     tnsr_bytes,
     write_decomposition,
     write_tnsr,
