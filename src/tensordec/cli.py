@@ -136,6 +136,12 @@ def cmd_synth(args, seed, mapper):
     if not math.isfinite(2 * args.noise):
         raise PreconditionError(f"--noise {args.noise}: the range 2*noise is not finite")
     shape = _parse_shape(args.shape)
+    need = 8 * math.prod(shape)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        # checked before any factor is drawn: the factors alone can be large
+        raise MemoryError(f"a dense {shape} tensor needs {need} bytes, "
+                          f"more than the {physical} of physical memory")
     if args.model == "exact":
         if args.rho is not None:
             raise PreconditionError("--rho needs --model smoothed")
@@ -173,19 +179,16 @@ def cmd_decompose(args, seed, mapper):
     elif args.method == "power":
         if rank == "auto":
             raise PreconditionError("--method power needs an explicit --rank")
-        pcfg = PowerConfig(seed=seed)
+        target, back = tensor, None
         if args.whiten:
             m_tensor = read_tnsr(args.whiten)
             inputs.append(args.whiten)
             if m_tensor.order != 2:
                 raise PreconditionError("--whiten expects an order-2 tensor")
-            wres = whiten(tensor, m_tensor.data, rank)
-            od, residual = deflate_decompose(wres.tensor, rank, pcfg)
-            back = wres.back_map @ od.vectors
-            d = CpDecomposition([back, back, back], od.lambdas)
-        else:
-            od, residual = deflate_decompose(tensor, rank, pcfg)
-            d = CpDecomposition([od.vectors] * 3, od.lambdas)
+            target, back = whiten(tensor, m_tensor.data, rank)
+        od, residual = deflate_decompose(target, rank, PowerConfig(seed=seed))
+        vectors = od.vectors if back is None else back @ od.vectors
+        d = CpDecomposition([vectors] * 3, od.lambdas)
         report = RecoveryReport(deflation_residual=residual)
     else:
         raise PreconditionError(f"unknown method {args.method!r}")

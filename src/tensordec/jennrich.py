@@ -72,15 +72,7 @@ class RecoveryReport:
     deflation_residual: float | None = None
 
     def to_dict(self):
-        out = {}
-        for key in self.__dataclass_fields__:
-            value = getattr(self, key)
-            if value is None:
-                continue
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            out[key] = value
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 def _min_pairwise_gap(values):
@@ -145,7 +137,7 @@ def jennrich_decompose(t, config=None):
         elif r == 0:
             k = 0
         else:
-            mags = np.abs(eig_nonsymmetric(core).values)
+            mags = np.abs(eig_nonsymmetric(core)[0])
             k = int(np.count_nonzero(mags > AUTO_RANK_THRESHOLD * np.max(mags)))
         if k == 0:
             empty = CpDecomposition(
@@ -156,16 +148,16 @@ def jennrich_decompose(t, config=None):
             failure.update(min_magnitude=0.0, stage="separation")
             continue
 
-        eig = eig_nonsymmetric(core[:k, :k])
-        order = np.argsort(-np.abs(eig.values))
-        lam = eig.values[order]
+        values, vectors = eig_nonsymmetric(core[:k, :k])
+        order = np.argsort(-np.abs(values))
+        lam = values[order]
         gap = _min_pairwise_gap(lam)
         mag = float(np.min(np.abs(lam)))
         if not (gap >= _MIN_SEP and mag >= _MIN_SEP):
             failure.update(min_gap=gap, min_magnitude=mag, stage="separation")
             continue
 
-        u_mat, imag = _phase_aligned_real(left[:, :k] @ eig.vectors[:, order])
+        u_mat, imag = _phase_aligned_real(left[:, :k] @ vectors[:, order])
         # Row i of pinv(U) T_(1) is v_i (x) w_i; its top singular triple
         # splits it into the other two factors and the weight.
         rows = (pseudoinverse(u_mat) @ t.data.reshape(n, m * p)).reshape(k, m, p)

@@ -6,23 +6,12 @@ leave-one-out distance, which is a column-wise projection quantity rather
 than a stock kernel.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PreconditionError
 
 # Singular values at or below this fraction of the largest count as zero.
 _RANK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EigResult:
-    """values: (n,) complex eigenvalues; vectors: (n, n) complex, unit
-    columns, ``M @ vectors[:, i] = values[i] * vectors[:, i]``."""
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _as_matrix(m, who):
@@ -69,12 +58,13 @@ def pseudoinverse(m):
 
 
 def eig_nonsymmetric(m):
-    """Eigenpairs of a square real matrix; complex output, unit columns."""
+    """Eigenpairs of a square real matrix as ``(values, vectors)``, as
+    ``np.linalg.eig`` gives them: (n,) complex eigenvalues and (n, n) complex
+    unit columns with ``m @ vectors[:, i] = values[i] * vectors[:, i]``."""
     m = _as_matrix(m, "eig_nonsymmetric")
     if m.shape[0] != m.shape[1]:
         raise PreconditionError(f"eig_nonsymmetric needs a square matrix, got {m.shape}")
-    values, vectors = np.linalg.eig(m)
-    return EigResult(values=values, vectors=vectors)
+    return np.linalg.eig(m)
 
 
 def condition_number(m):

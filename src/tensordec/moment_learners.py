@@ -134,17 +134,6 @@ class HmmParams:
         object.__setattr__(self, "observation_means", o)
         object.__setattr__(self, "stationary", w)
 
-    @classmethod
-    def from_transition(cls, transition, observation_means, noise_scale=0.0):
-        """Build params with the stationary distribution derived from P."""
-        w = stationary_distribution(np.asarray(transition, dtype=np.float64))
-        return cls(
-            transition=transition,
-            observation_means=observation_means,
-            stationary=w,
-            noise_scale=noise_scale,
-        )
-
     @property
     def k(self):
         return int(self.transition.shape[0])
@@ -302,8 +291,7 @@ def gmm_learn_from_moments(t, k, order=3, method="jennrich", second_moment=None,
             raise PreconditionError("the power path handles order 3 only")
         if second_moment is None:
             raise PreconditionError("the power path needs the order-2 moment")
-        wres = whiten(t, second_moment, k)
-        return _whitened_means(wres.tensor, wres.back_map, k, method, seed)
+        return _whitened_means(*whiten(t, second_moment, k), k, method, seed)
     decomposition, report = overcomplete_decompose(
         t, config=JennrichConfig(rank=k, seed=seed)
     )
@@ -431,13 +419,13 @@ class HmmMoments:
     tensor: the fused (n^l, n, n^l) window moment. center_mean: E of the
     center observation. center_future: E of center (x) fused-right block,
     shape (n, n^l). center_second: E of center (x) center, shape (n, n),
-    only needed when context > 1.
+    read when context > 1.
     """
 
     tensor: DenseTensor
     center_mean: np.ndarray
     center_future: np.ndarray
-    center_second: np.ndarray | None = None
+    center_second: np.ndarray
 
 
 def hmm_empirical_moments(windows, context=1):
@@ -574,10 +562,6 @@ def hmm_learn_from_moments(moments, k, context=1, seed=0, noise_scale=0.0,
             [_to_simplex(transition[:, j], f"transition column {j}") for j in range(k)]
         )
     else:
-        if moments.center_second is None:
-            raise PreconditionError(
-                "context > 1 recovery needs the center second moment"
-            )
         n = center_hat.shape[0]
         adjusted = moments.center_second - float(noise_scale) ** 2 * np.eye(n)
         q_vec = np.diag(center_pinv @ adjusted @ center_pinv.T).copy()  # w beta^2

@@ -42,8 +42,8 @@ class OrthogonalDecomposition:
 
     ``vectors`` holds the ``v_i`` as columns of an (n, k) matrix, unit norm
     and mutually orthogonal for exactly decomposable inputs; recovery from
-    noisy tensors can leave small cross inner products, which
-    :meth:`max_cross_inner` measures rather than the constructor rejecting them.
+    noisy tensors can leave small cross inner products, which the
+    constructor does not reject.
     """
 
     lambdas: np.ndarray
@@ -60,23 +60,6 @@ class OrthogonalDecomposition:
             np.all(np.isfinite(self.lambdas)) and np.all(np.isfinite(self.vectors))
         ):
             raise PreconditionError("entries must be finite")
-
-    @property
-    def rank(self):
-        return int(self.lambdas.shape[0])
-
-    def max_cross_inner(self):
-        """Largest |<v_i, v_j>| over i != j (0.0 when rank < 2)."""
-        gram = self.vectors.T @ self.vectors
-        k = self.rank
-        if k < 2:
-            return 0.0
-        off = gram[~np.eye(k, dtype=bool)]
-        return float(np.max(np.abs(off)))
-
-    def max_norm_deviation(self):
-        norms = np.linalg.norm(self.vectors, axis=0)
-        return float(np.max(np.abs(norms - 1.0))) if self.rank else 0.0
 
 
 def _require_symmetric(t):
@@ -173,15 +156,6 @@ def deflate_decompose(t, k, config=None):
     return OrthogonalDecomposition(lambdas=lambdas, vectors=vectors), residual
 
 
-@dataclass(frozen=True)
-class WhiteningResult:
-    """tensor: the whitened (k, k, k) tensor; back_map: (n, k) matrix B with
-    original components ``lam_i * B @ v_i``."""
-
-    tensor: DenseTensor
-    back_map: np.ndarray
-
-
 def _whitening_maps(m, n, k):
     """``(W, B)`` from the checked top-k eigenpairs of an (n, n) order-2
     moment: ``W = V_k diag(eig)^(-1/2)`` whitens, ``B = V_k diag(eig)^(1/2)``
@@ -214,13 +188,14 @@ def whiten(t, m, k):
     ``m`` must be symmetric with numerical rank at least ``k`` (eigenvalue
     k must exceed 1e-8 times the largest); its top-k eigenspace defines
     ``W = V_k diag(eig)^(-1/2)``, and every mode of ``t`` is contracted
-    with ``W``. For ``t = sum_i w_i u_i^(x3)`` and ``m = sum_i w_i
-    u_i^(x2)`` the result is orthogonally decomposable with lambdas
-    ``w_i^(-1/2)``, and ``back_map`` returns scaled components to the
-    original space: ``u_i = lam_i * back_map @ v_i``.
+    with ``W``. Returns ``(tensor, back_map)``: the whitened (k, k, k)
+    DenseTensor and the (n, k) matrix ``B = V_k diag(eig)^(1/2)``. For
+    ``t = sum_i w_i u_i^(x3)`` and ``m = sum_i w_i u_i^(x2)`` the tensor is
+    orthogonally decomposable with lambdas ``w_i^(-1/2)``, and ``B`` returns
+    scaled components to the original space: ``u_i = lam_i * B @ v_i``.
     """
     arr = _require_symmetric(t)
     forward, back = _whitening_maps(m, arr.shape[0], int(k))
     # optimize=True contracts one mode at a time: O(n^3 k), not O(n^3 k^3)
     whitened = np.einsum("abc,ai,bj,ck->ijk", arr, forward, forward, forward, optimize=True)
-    return WhiteningResult(tensor=DenseTensor(whitened), back_map=back)
+    return DenseTensor(whitened), back

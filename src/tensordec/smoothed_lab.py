@@ -18,6 +18,7 @@ thread pool over blocks of trials cannot change any number.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -357,10 +358,10 @@ def build_pivot_basis(basis):
     divides it by that entry (so the pivot value is exactly +-1 and
     nothing exceeds 1), records the pivot index, and restricts the
     subspace to vectors vanishing there. Restriction multiplies the basis
-    by an orthonormal null-space factor, so conditioning never degrades.
+    by orthonormal columns of a reflection, so conditioning never degrades.
     """
     b = _orthonormal_columns(basis).copy()
-    n, r = b.shape
+    r = b.shape[1]
     vectors = []
     pivots = []
     for step in range(r):
@@ -374,11 +375,12 @@ def build_pivot_basis(basis):
             )
         vectors.append(b[:, col] / peak)
         pivots.append(int(row))
-        if b.shape[1] == 1:
-            b = np.zeros((n, 0))
-            break
-        null = _null_space(b[row : row + 1, :])
-        b = b @ null
+        # the Householder reflection H taking e_1 to the direction of b[row]:
+        # H's other columns span b[row]'s orthogonal complement, so b H
+        # without its first column vanishes at the pivot, in O(n r)
+        v = b[row].copy()
+        v[0] += math.copysign(np.linalg.norm(v), v[0])
+        b = (b - np.outer(b @ v, 2.0 * v / (v @ v)))[:, 1:]
     return PivotBasis(vectors=np.column_stack(vectors), pivots=tuple(pivots))
 
 

@@ -17,6 +17,8 @@ from .smoothed_lab import _check_rho, perturb_matrix
 from .tensor_core import CpDecomposition
 
 _MAX_DRAWS = 64
+# Largest condition number of a random_decomposition factor.
+_KAPPA_MAX = 10.0
 # Smallest distance, up to sign, between two columns' unit directions.
 _MIN_SEPARATION = 0.1
 # Term weights are uniform in this range; orthogonal instances use _LAMBDA_RANGE.
@@ -65,12 +67,12 @@ def direction_separation(mat):
     return float(min(np.linalg.norm(a - b), np.linalg.norm(a + b)))
 
 
-def random_decomposition(shape, rank, seed=0, kappa_max=10.0):
+def random_decomposition(shape, rank, seed=0):
     """Random full-rank decomposition with certified conditioning.
 
     Each factor matrix is a random orthonormal frame plus 0.3 times a
     random unit-column matrix, renormalized; draws are rejected until
-    every factor has condition number at most ``kappa_max`` and every
+    every factor has condition number at most 10 and every
     factor's columns are 0.1-separated as directions. Weights are uniform
     in [0.5, 2]. Requires rank <= min(shape).
     """
@@ -89,7 +91,7 @@ def random_decomposition(shape, rank, seed=0, kappa_max=10.0):
             base = _orthonormal(rng, n, rank)
             bump = _unit_columns(rng.standard_normal((n, rank)))
             factors.append(_unit_columns(base + 0.3 * bump))
-        ok = all(condition_number(f) <= kappa_max for f in factors) and all(
+        ok = all(condition_number(f) <= _KAPPA_MAX for f in factors) and all(
             direction_separation(f) >= _MIN_SEPARATION for f in factors
         )
         if not ok:
@@ -97,7 +99,7 @@ def random_decomposition(shape, rank, seed=0, kappa_max=10.0):
         weights = rng.uniform(*_WEIGHT_RANGE, rank)
         return CpDecomposition(factors, weights)
     raise DegeneracyError(
-        f"no draw met kappa <= {kappa_max} and separation >= {_MIN_SEPARATION}"
+        f"no draw met kappa <= {_KAPPA_MAX} and separation >= {_MIN_SEPARATION}"
     )
 
 

@@ -64,21 +64,6 @@ class DenseTensor:
     def shape(self):
         return self._data.shape
 
-    def entry(self, *indices):
-        """Entry at the given multi-index; bounds-checked, no wraparound."""
-        if len(indices) != self.order:
-            raise IndexError(
-                f"expected {self.order} indices, got {len(indices)}"
-            )
-        for ax, (i, n) in enumerate(zip(indices, self.shape)):
-            i = int(i)
-            if not 0 <= i < n:
-                raise IndexError(f"index {i} out of range for mode {ax} of size {n}")
-        return float(self._data[tuple(int(i) for i in indices)])
-
-    def __array__(self, dtype=None):
-        return np.asarray(self._data, dtype=dtype)
-
     def __repr__(self):
         return f"DenseTensor(shape={self.shape})"
 
@@ -157,17 +142,6 @@ class CpDecomposition:
 
     def __repr__(self):
         return f"CpDecomposition(shape={self.shape}, rank={self.rank})"
-
-
-def outer_product(vectors):
-    """Rank-one tensor ``v1 (x) v2 (x) ... (x) vl`` from l >= 1 vectors."""
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(vecs) < 1:
-        raise PreconditionError("need at least one vector")
-    for v in vecs:
-        if v.ndim != 1 or v.shape[0] < 1:
-            raise PreconditionError("outer_product takes nonempty 1-D vectors")
-    return _cp_dense([v[:, None] for v in vecs], np.ones(1))
 
 
 def synthesize(d):
@@ -331,12 +305,6 @@ def tnsr_bytes(t):
     )
 
 
-def write_tnsr(path, t):
-    """Write a DenseTensor to the TNSR v1 container."""
-    with open(path, "wb") as fh:
-        fh.write(tnsr_bytes(t))
-
-
 def read_tnsr(path):
     """Read a DenseTensor from the TNSR v1 container."""
     with open(path, "rb") as fh:
@@ -383,12 +351,6 @@ def decomposition_to_dict(d):
             [[float(x) for x in f[:, i]] for i in range(d.rank)] for f in d.factors
         ],
     }
-
-
-def write_decomposition(path, d):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(decomposition_to_dict(d), fh, sort_keys=True)
-        fh.write("\n")
 
 
 def decomposition_from_dict(obj):

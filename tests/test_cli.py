@@ -18,7 +18,7 @@ from tensordec import (
     read_tnsr,
     synthesize,
 )
-from tensordec.tensor_core import write_decomposition, write_tnsr
+from tensordec.tensor_core import decomposition_to_dict, tnsr_bytes
 from tensordec import smoothed_lab
 from tensordec.cli import build_parser, main
 
@@ -135,6 +135,21 @@ class TestSynth:
         assert proc.returncode == 0, proc.stderr
         assert np.all(np.isfinite(read_tnsr(str(out / "tensor.tnsr")).data))
 
+    def test_shape_beyond_physical_memory_exits_4_before_drawing(self, tmp_path, capsys):
+        # 8e21 bytes of dense tensor is refused before the three (1e7, 1)
+        # factors and their QR are built (about 700 MiB), so nothing is allocated
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path, "synth", "--shape", "10000000,10000000,10000000",
+                            "--rank", "1")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert "does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 2**20
+
     def test_bad_shape_exit_code(self, tmp_path):
         code, out = run(tmp_path, "synth", "--shape", "8,oops", "--rank", "2")
         assert code == 4
@@ -182,8 +197,8 @@ class TestDecompose:
         m2 = params.means @ params.means.T / params.k
         from tensordec import DenseTensor
 
-        write_tnsr(str(tmp_path / "t3.tnsr"), t3)
-        write_tnsr(str(tmp_path / "m2.tnsr"), DenseTensor(m2))
+        (tmp_path / "t3.tnsr").write_bytes(tnsr_bytes(t3))
+        (tmp_path / "m2.tnsr").write_bytes(tnsr_bytes(DenseTensor(m2)))
         code, out = run(
             tmp_path, "decompose",
             "--input", str(tmp_path / "t3.tnsr"),
@@ -199,9 +214,9 @@ class TestDecompose:
 
         truth = random_orthogonal_symmetric(16, 8, seed=3)
         basis = truth.factors[0]
-        write_tnsr(str(tmp_path / "t.tnsr"), synthesize(truth))
-        write_tnsr(str(tmp_path / "m2.tnsr"),
-                   DenseTensor(basis * truth.weights @ basis.T))
+        (tmp_path / "t.tnsr").write_bytes(tnsr_bytes(synthesize(truth)))
+        (tmp_path / "m2.tnsr").write_bytes(
+            tnsr_bytes(DenseTensor(basis * truth.weights @ basis.T)))
         for extra in ([], ["--whiten", str(tmp_path / "m2.tnsr")]):
             primary = []
             for rep in ("a", "b"):
@@ -258,7 +273,7 @@ class TestDecompose:
         v = rng.standard_normal((6, 2))
         w = np.column_stack([rng.standard_normal(6)] * 2)
         t = synthesize(CpDecomposition([u, v, w], [1.0, 1.0]))
-        write_tnsr(str(tmp_path / "degenerate.tnsr"), t)
+        (tmp_path / "degenerate.tnsr").write_bytes(tnsr_bytes(t))
         code, out = run(tmp_path, "decompose",
                         "--input", str(tmp_path / "degenerate.tnsr"),
                         "--rank", "2")
@@ -317,7 +332,7 @@ class TestEval:
     def test_malformed_decomposition_exits_2(self, tmp_path, capsys, found):
         (tmp_path / "found.json").write_bytes(found)
         truth = CpDecomposition([np.eye(1)], [1.0])
-        write_decomposition(tmp_path / "truth.json", truth)
+        (tmp_path / "truth.json").write_text(json.dumps(decomposition_to_dict(truth)))
         code, out = run(tmp_path, "eval", "--found", str(tmp_path / "found.json"),
                         "--truth", str(tmp_path / "truth.json"))
         assert code == 2
@@ -539,10 +554,10 @@ class TestLab:
 
 
 class TestOutOfMemory:
-    # each run asks for one array above 128 TiB, past the user address space
-    # of a 64-bit machine, so the allocation fails at once and nothing is
-    # touched: a (5e6, 5e6) Khatri-Rao product (182 TiB) while synthesizing,
-    # and a (1e13, 3) sample array (218 TiB)
+    # neither run touches its memory: synth refuses a 1e21-byte dense tensor
+    # against physical memory, and learn gmm asks for a (1e13, 3) sample array
+    # (218 TiB), past the user address space of a 64-bit machine, so the
+    # allocation fails at once
     @pytest.mark.parametrize("argv", [
         ["synth", "--shape", "5000000,5000000,5000000", "--rank", "1"],
         ["learn", "gmm", "--k", "2", "--n", "3", "--samples", "10000000000000"],
@@ -670,7 +685,7 @@ class TestParser:
     @pytest.mark.parametrize("rank", ["abc", "2.5", "-1"])
     def test_bad_rank_exits_2(self, tmp_path, capsys, rank):
         tensor = tmp_path / "t.tnsr"
-        write_tnsr(str(tensor), synthesize(CpDecomposition([np.eye(2)] * 3, [1.0, 1.0])))
+        tensor.write_bytes(tnsr_bytes(synthesize(CpDecomposition([np.eye(2)] * 3, [1.0, 1.0]))))
         with pytest.raises(SystemExit) as exc_info:
             run(tmp_path, "decompose", "--input", str(tensor), "--rank", rank)
         assert exc_info.value.code == 2

@@ -194,7 +194,7 @@ class TestGmmStatistics:
         mu = np.array([[2.0], [0.0]])
         t = gmm_statistic_exact(GmmParams(means=mu), order=5)
         assert t.shape == (2, 2, 2, 2, 2)
-        assert t.entry(0, 0, 0, 0, 0) == pytest.approx(32.0)
+        assert t.data[0, 0, 0, 0, 0] == pytest.approx(32.0)
 
     def test_second_moment_subtracts_identity(self):
         mu = np.array([1.0, -1.0, 2.0])
@@ -443,8 +443,17 @@ class TestHmmParams:
             )
         for noise in (-0.1, np.nan, np.inf):
             with pytest.raises(PreconditionError):
-                HmmParams.from_transition(np.array([[0.7, 0.3], [0.3, 0.7]]),
-                                          np.eye(2), noise_scale=noise)
+                HmmParams(transition=np.array([[0.7, 0.3], [0.3, 0.7]]),
+                          observation_means=np.eye(2), stationary=np.array([0.5, 0.5]),
+                          noise_scale=noise)
+
+    def test_rejects_non_finite_transition(self):
+        with pytest.raises(PreconditionError):
+            HmmParams(
+                transition=np.array([[np.nan, 0.3], [0.3, 0.7]]),
+                observation_means=np.eye(2),
+                stationary=np.array([0.5, 0.5]),
+            )
 
     def test_reversed_transition_is_column_stochastic(self):
         params = hmm_random_params(4, 3, seed=21)
@@ -454,15 +463,6 @@ class TestHmmParams:
         # detailed balance of the reversal: w_i P'_ji = w_j P_ij
         w = params.stationary
         assert np.allclose(rev * w[None, :], (params.transition * w[None, :]).T)
-
-    def test_from_transition_rejects_non_finite(self):
-        with pytest.raises(PreconditionError):
-            HmmParams.from_transition(np.array([[np.nan, 0.3], [0.3, 0.7]]), np.eye(2))
-
-    def test_from_transition_computes_stationary(self):
-        p = np.array([[0.8, 0.4], [0.2, 0.6]])
-        params = HmmParams.from_transition(p, np.eye(2))
-        assert np.allclose(params.transition @ params.stationary, params.stationary)
 
 
 class TestHmmSample:
@@ -627,18 +627,6 @@ class TestHmmLearn:
         assert result.transition is None
         assert max(result.observation_errors) < 1e-6
         assert max(result.stationary_errors) < 1e-6
-
-    def test_context2_needs_second_moment(self):
-        params = hmm_random_params(3, 2, seed=40)
-        moments = hmm_exact_moments(params, context=2)
-        stripped = type(moments)(
-            tensor=moments.tensor,
-            center_mean=moments.center_mean,
-            center_future=moments.center_future,
-            center_second=None,
-        )
-        with pytest.raises(PreconditionError):
-            hmm_learn_from_moments(stripped, 2, context=2)
 
     @pytest.mark.parametrize("context", [1, 2])
     @pytest.mark.parametrize("n", [4, 6])

@@ -1,5 +1,6 @@
 """Khatri-Rao flattening: plans, rank-one unflattening, overcomplete recovery."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,7 +19,12 @@ from tensordec import (
 )
 from tensordec import tensor_core
 from tensordec.overcomplete import default_plan, unflatten_rank_one
-from tensordec.tensor_core import flatten_to_order3, outer_product
+from tensordec.tensor_core import flatten_to_order3
+
+
+def _outer(vectors):
+    """The rank-one array ``v1 (x) v2 (x) ...``."""
+    return functools.reduce(np.multiply.outer, vectors)
 
 
 def _alternating_rank_one(block, max_iters=100, tol=1e-13):
@@ -137,10 +143,10 @@ class TestUnflattenRankOne:
     def test_exact_three_mode(self):
         rng = np.random.default_rng(1)
         xs = [rng.standard_normal(s) for s in (3, 2, 4)]
-        flat = outer_product(xs).data.ravel()
+        flat = _outer(xs).ravel()
         vecs, residual = _fit(flat, [3, 2, 4])
         assert residual <= 1e-10
-        recon = outer_product(vecs).data.ravel()
+        recon = _outer(vecs).ravel()
         assert np.allclose(recon, flat, atol=1e-10)
 
     def test_size_mismatch_rejected(self):
@@ -157,7 +163,7 @@ class TestUnflattenRankOne:
         rng = np.random.default_rng(len(sizes))
         blocks = []
         for _ in range(10):
-            block = outer_product([rng.standard_normal(s) for s in sizes]).data
+            block = _outer([rng.standard_normal(s) for s in sizes])
             scale = noise * np.linalg.norm(block) / np.sqrt(block.size)
             blocks.append(block + scale * rng.standard_normal(sizes))
         factors, residuals = unflatten_rank_one(
@@ -166,7 +172,7 @@ class TestUnflattenRankOne:
         for i, block in enumerate(blocks):
             vecs = [f[:, i] for f in factors]
             ref = _alternating_rank_one(block)
-            fit, ref_fit = outer_product(vecs).data, outer_product(ref).data
+            fit, ref_fit = _outer(vecs), _outer(ref)
             assert np.linalg.norm(fit - ref_fit) <= 1e-12 * np.linalg.norm(block)
             ref_residual = np.linalg.norm(block - ref_fit) / np.linalg.norm(block)
             assert residuals[i] == pytest.approx(ref_residual, rel=1e-9, abs=1e-14)
@@ -176,7 +182,7 @@ class TestUnflattenRankOne:
     @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
     def test_exact_block_takes_one_sweep(self, monkeypatch, sizes):
         rng = np.random.default_rng(3)
-        block = outer_product([rng.standard_normal(s) for s in sizes]).data
+        block = _outer([rng.standard_normal(s) for s in sizes])
         sweeps = _count_sweeps(monkeypatch, len(sizes))
         _, residual = _fit(block.ravel(), sizes)
         assert residual <= 1e-14
@@ -195,7 +201,7 @@ class TestUnflattenRankOne:
         # the start's scaled first vector is a separate estimate from its
         # first update, so the stop test only fires once the fit settles
         rng = np.random.default_rng(4)
-        block = outer_product([rng.standard_normal(s) for s in (3, 3, 3)]).data
+        block = _outer([rng.standard_normal(s) for s in (3, 3, 3)])
         block = block + 1e-2 * rng.standard_normal((3, 3, 3))
         sweeps = _count_sweeps(monkeypatch, 3)
         _fit(block.ravel(), [3, 3, 3])
@@ -205,7 +211,7 @@ class TestUnflattenRankOne:
     def test_stacked_columns_equal_single_column_calls_bitwise(self, sizes):
         rng = np.random.default_rng(5)
         columns = [
-            outer_product([rng.standard_normal(s) for s in sizes]).data.ravel()
+            _outer([rng.standard_normal(s) for s in sizes]).ravel()
             for _ in range(3)
         ]
         columns.append(rng.standard_normal(math.prod(sizes)))
@@ -232,14 +238,14 @@ class TestUnflattenRankOne:
 def _tied_block():
     """e1(x)e2(x)e1 + e2(x)e1(x)e2, whose unfoldings' top singular vectors tie."""
     e1, e2 = np.eye(2)
-    return outer_product([e1, e2, e1]).data + outer_product([e2, e1, e2]).data
+    return _outer([e1, e2, e1]) + _outer([e2, e1, e2])
 
 
 class TestOvercompleteDecompose:
     def test_rank_one_order5(self):
         rng = np.random.default_rng(2)
         vecs = [rng.standard_normal(2) for _ in range(5)]
-        t = outer_product(vecs)
+        t = DenseTensor(_outer(vecs))
         found, report = overcomplete_decompose(t)
         assert found.rank == 1
         recon = synthesize(found)

@@ -54,3 +54,42 @@ def test_runtime_dependencies_match_imports():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"tensordec"}
     assert third_party == declared
+
+
+def _public_definitions(tree):
+    """(name, is_method, first line, last line) of each public module-level
+    function or class and each public method of a module-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, False, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, True, item.lineno, item.end_lineno
+
+
+def test_every_public_definition_has_a_reader_outside_the_unit_tests():
+    # A function, class or method that only unit tests call is dead weight:
+    # each must be named, outside its own definition, by the package, the
+    # README, the benchmark or the acceptance gates. A method counts as named
+    # where it is read as an attribute.
+    package = sorted((_ROOT / "src" / "tensordec").glob("*.py"))
+    others = [_ROOT / "README.md", _ROOT / "tests" / "test_acceptance.py",
+              *sorted((_ROOT / "perfbench").glob("*.py")),
+              *sorted((_ROOT / "perfbench").glob("*.md"))]
+    lines = {p: p.read_text().splitlines() for p in package + others}
+    unread = []
+    for path in package:
+        for name, is_method, first, last in _public_definitions(ast.parse("\n".join(lines[path]))):
+            pattern = re.compile(rf"\.{name}\b" if is_method else rf"\b{name}\b")
+            text = "\n".join(
+                line
+                for p, body in lines.items()
+                for number, line in enumerate(body, 1)
+                if not (p == path and first <= number <= last)
+            )
+            if not pattern.search(text):
+                unread.append(name)
+    assert not unread, f"named only by the unit tests: {sorted(unread)}"

@@ -86,15 +86,14 @@ def _reference_decompose(t, k, seed=0, max_iters=500):
 
 def _whitened_gmm_moment(n, k, samples, seed):
     x = gmm_sample(gmm_orthogonal_params(n, k, seed=seed), samples, seed=seed)
-    return whiten(gmm_statistic_t3(x), gmm_second_moment(x), k).tensor
+    return whiten(gmm_statistic_t3(x), gmm_second_moment(x), k)[0]
 
 
 class TestOrthogonalDecomposition:
     def test_validate_accepts_orthonormal(self):
-        od = OrthogonalDecomposition(np.array([2.0, 1.0]), np.eye(3)[:, :2])
-        assert od.rank == 2
-        assert od.max_cross_inner() == 0.0
-        assert od.max_norm_deviation() == 0.0
+        od = OrthogonalDecomposition([2.0, 1.0], np.eye(3)[:, :2])
+        assert od.lambdas.dtype == od.vectors.dtype == np.float64
+        assert np.array_equal(od.vectors, np.eye(3)[:, :2])
 
     def test_shape_checks(self):
         with pytest.raises(PreconditionError):
@@ -132,8 +131,9 @@ class TestDeflateDecompose:
         truth = random_orthogonal_symmetric(8, 5, seed=3)
         t = synthesize(truth)
         od, residual = deflate_decompose(t, 5)
-        assert od.max_cross_inner() <= 1e-8
-        assert od.max_norm_deviation() <= 1e-10
+        gram = od.vectors.T @ od.vectors
+        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= 1e-8
+        assert np.max(np.abs(np.diag(gram) - 1.0)) <= 2e-10
         assert residual <= 1e-9 * frobenius_norm(t)
         found = CpDecomposition([od.vectors] * 3, od.lambdas)
         assert match_terms(found, truth).max_error <= 1e-9
@@ -142,7 +142,7 @@ class TestDeflateDecompose:
         truth = random_orthogonal_symmetric(5, 3, seed=4)
         t = synthesize(truth)
         od, residual = deflate_decompose(t, 0)
-        assert od.rank == 0
+        assert od.lambdas.shape == (0,) and od.vectors.shape == (5, 0)
         assert residual == pytest.approx(frobenius_norm(t), rel=1e-12)
 
     def test_noise_degrades_gracefully(self):
@@ -270,14 +270,14 @@ class TestWhiten:
         v = truth.factors[0]
         m = v @ np.diag(truth.weights) @ v.T
         t = synthesize(truth)
-        res = whiten(t, m, 3)
-        od, residual = deflate_decompose(res.tensor, 3)
+        whitened, back_map = whiten(t, m, 3)
+        od, residual = deflate_decompose(whitened, 3)
         assert residual <= 1e-9
         assert np.allclose(
             np.sort(od.lambdas), np.sort(truth.weights ** -0.5), atol=1e-10
         )
         recon = np.column_stack(
-            [od.lambdas[i] * (res.back_map @ od.vectors[:, i]) for i in range(3)]
+            [od.lambdas[i] * (back_map @ od.vectors[:, i]) for i in range(3)]
         )
         found = CpDecomposition([recon] * 3, np.ones(3))
         truth_dirs = CpDecomposition([v] * 3, np.ones(3))
@@ -297,11 +297,11 @@ class TestWhiten:
         w = np.array([1.5, 1.0, 0.7])
         m2 = comps @ np.diag(w) @ comps.T
         t3 = np.einsum("i,ai,bi,ci->abc", w, comps, comps, comps)
-        res = whiten(DenseTensor(t3), m2, k)
-        od, residual = deflate_decompose(res.tensor, k)
+        whitened, back_map = whiten(DenseTensor(t3), m2, k)
+        od, residual = deflate_decompose(whitened, k)
         assert residual <= 1e-8
         est = np.column_stack(
-            [od.lambdas[i] * (res.back_map @ od.vectors[:, i]) for i in range(k)]
+            [od.lambdas[i] * (back_map @ od.vectors[:, i]) for i in range(k)]
         )
         truth_dirs = CpDecomposition([comps] * 3, np.ones(k))
         found = CpDecomposition([est] * 3, np.ones(k))
@@ -320,14 +320,14 @@ class TestWhiten:
         comps = rng.standard_normal((n, k))
         m = comps @ comps.T
         started = time.perf_counter()
-        res = whiten(t, m, k)
+        whitened, _ = whiten(t, m, k)
         elapsed = time.perf_counter() - started
         forward, _ = power_method._whitening_maps(m, n, k)
         ref = t.data
         for _ in range(3):
             # contract the leading mode; the new mode goes last
             ref = np.tensordot(ref, forward, axes=([0], [0]))
-        assert np.linalg.norm(res.tensor.data - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(whitened.data - ref) <= 1e-12 * np.linalg.norm(ref)
         assert elapsed < 0.3
 
     def test_rank_deficient_moment_rejected(self):

@@ -361,6 +361,21 @@ class TestBuildPivotBasis:
         assert np.allclose(pb.vectors[:, 0], np.ones(n), atol=1e-12)
         pb.validate(tol=1e-12)
 
+    @pytest.mark.parametrize("n, r, seed", [(5, 1, 0), (6, 6, 1), (32, 8, 2), (40, 17, 3),
+                                            (64, 30, 4)])
+    def test_matches_the_svd_restriction(self, n, r, seed):
+        basis, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, r)))
+        pb = build_pivot_basis(basis)
+        # reference: restrict by the null space of the pivot row from a full SVD
+        b, vectors, pivots = basis, [], []
+        while b.shape[1]:
+            row, col = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+            vectors.append(b[:, col] / b[row, col])
+            pivots.append(int(row))
+            b = b @ np.linalg.svd(b[row : row + 1], full_matrices=True)[2][1:].T
+        assert pb.pivots == tuple(pivots)
+        assert np.max(np.abs(pb.vectors - np.column_stack(vectors))) <= 1e-13
+
     def test_rejects_non_orthonormal(self):
         with pytest.raises(PreconditionError):
             build_pivot_basis(np.ones((4, 2)))

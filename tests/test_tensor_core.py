@@ -1,5 +1,6 @@
 """Tensor container, CP canonical form, and serialization round trips."""
 
+import functools
 import json
 import struct
 import tracemalloc
@@ -20,15 +21,13 @@ from tensordec import (
     synthesize,
 )
 from tensordec import tensor_core
+from tensordec.cli import _json_bytes
 from tensordec.tensor_core import (
     decomposition_from_dict,
     flatten_to_order3,
     khatri_rao,
-    outer_product,
     slice_combination,
     tnsr_bytes,
-    write_decomposition,
-    write_tnsr,
 )
 
 
@@ -38,17 +37,6 @@ class TestDenseTensor:
         assert t.shape == (2, 3, 4)
         assert t.order == 3
         assert t.data.size == 24
-
-    def test_entry_accessor_and_bounds(self):
-        t = DenseTensor(np.arange(6.0).reshape(2, 3))
-        assert t.entry(1, 2) == 5.0
-        assert t.entry(0, 0) == 0.0
-        with pytest.raises(IndexError):
-            t.entry(2, 0)
-        with pytest.raises(IndexError):
-            t.entry(-1, 0)
-        with pytest.raises(IndexError):
-            t.entry(0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(PreconditionError):
@@ -81,28 +69,6 @@ class TestDenseTensor:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * t.data.nbytes
-
-
-class TestOuterProduct:
-    def test_standard_basis(self):
-        t = outer_product([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        expected = np.zeros((2, 2))
-        expected[0, 1] = 1.0
-        assert np.array_equal(t.data, expected)
-
-    def test_scalar_like(self):
-        t = outer_product([np.array([1.0])] * 3)
-        assert t.shape == (1, 1, 1)
-        assert t.entry(0, 0, 0) == 1.0
-
-    def test_all_entries_by_direct_triple_loop(self):
-        u, v, w = np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([5.0, 6.0])
-        t = outer_product([u, v, w])
-        assert t.entry(1, 1, 1) == 2 * 4 * 6
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    assert t.entry(i, j, k) == u[i] * v[j] * w[k]
 
 
 class TestCpDecomposition:
@@ -258,8 +224,7 @@ class TestSynthesize:
         w = np.array([1.5, -0.5])
         d = CpDecomposition(cols, w)
         manual = sum(
-            d.weights[i]
-            * outer_product([f[:, i] for f in d.factors]).data
+            d.weights[i] * np.einsum("i,j,k->ijk", *[f[:, i] for f in d.factors])
             for i in range(2)
         )
         assert np.allclose(synthesize(d).data, manual, atol=1e-14)
@@ -282,7 +247,7 @@ class TestSliceCombination:
         v = np.array([3.0, -1.0])
         w = np.array([0.5, 2.0])
         a = np.array([1.0, 1.0])
-        t = outer_product([u, v, w])
+        t = DenseTensor(np.einsum("i,j,k->ijk", u, v, w))
         assert np.allclose(slice_combination(t, a), (w @ a) * np.outer(u, v))
 
 
@@ -347,12 +312,12 @@ class TestFlattenToOrder3:
     def test_rank_one_order5_fuses_to_rank_one(self):
         rng = np.random.default_rng(2)
         vecs = [rng.standard_normal(2) for _ in range(5)]
-        t = outer_product(vecs)
+        t = DenseTensor(functools.reduce(np.multiply.outer, vecs))
         flat = flatten_to_order3(t, (0, 1), (2, 3), (4,))
-        expected = outer_product(
-            [np.kron(vecs[0], vecs[1]), np.kron(vecs[2], vecs[3]), vecs[4]]
+        expected = np.einsum(
+            "i,j,k->ijk", np.kron(vecs[0], vecs[1]), np.kron(vecs[2], vecs[3]), vecs[4]
         )
-        assert np.allclose(flat.data, expected.data, atol=1e-14)
+        assert np.allclose(flat.data, expected, atol=1e-14)
 
     def test_all_ones_tensor(self):
         t = DenseTensor(np.ones((2, 2, 2, 2)))
@@ -370,7 +335,7 @@ class TestFlattenToOrder3:
             for j in range(3):
                 for k in range(4):
                     for l in range(5):
-                        assert flat.entry(j * 5 + l, i, k) == t.entry(i, j, k, l)
+                        assert flat.data[j * 5 + l, i, k] == t.data[i, j, k, l]
 
     def test_bad_partitions_rejected(self):
         t = DenseTensor(np.zeros((2, 2, 2)))
@@ -427,7 +392,7 @@ class TestBorderRankFixture:
 
 
 class TestTnsrFormat:
-    def test_frozen_byte_layout(self, tmp_path):
+    def test_frozen_byte_layout(self):
         # Container bytes spelled out: JSON header line, then little-endian
         # float64 entries in row-major order.
         t = DenseTensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -435,15 +400,12 @@ class TestTnsrFormat:
             "<4d", 1.0, 2.0, 3.0, 4.0
         )
         assert tnsr_bytes(t) == expected
-        path = tmp_path / "t.tnsr"
-        write_tnsr(path, t)
-        assert path.read_bytes() == expected
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         t = DenseTensor(rng.standard_normal((3, 2, 4)))
         path = tmp_path / "t.tnsr"
-        write_tnsr(path, t)
+        path.write_bytes(tnsr_bytes(t))
         back = read_tnsr(path)
         assert back.shape == t.shape
         assert np.array_equal(back.data, t.data)
@@ -501,7 +463,7 @@ class TestDecompositionJson:
             [rng.standard_normal((4, 3)) for _ in range(3)], rng.standard_normal(3)
         )
         path = tmp_path / "d.json"
-        write_decomposition(path, d)
+        path.write_text(json.dumps(decomposition_to_dict(d)))
         back = read_decomposition(path)
         assert back.rank == d.rank
         assert back.shape == d.shape
@@ -509,11 +471,10 @@ class TestDecompositionJson:
             assert np.allclose(f, g, atol=1e-15)
         assert np.allclose(back.weights, d.weights, atol=1e-15)
 
-    def test_serialized_form_is_sorted_json_with_newline(self, tmp_path):
+    def test_serialized_form_is_sorted_json_with_newline(self):
+        # the form the CLI writes truth.json and decomposition.json in
         d = CpDecomposition([np.eye(2)], np.ones(2))
-        path = tmp_path / "d.json"
-        write_decomposition(path, d)
-        text = path.read_text()
+        text = _json_bytes(decomposition_to_dict(d)).decode("utf-8")
         assert text.endswith("\n")
         obj = json.loads(text)
         assert list(obj) == sorted(obj)
@@ -524,7 +485,7 @@ class TestDecompositionJson:
     def test_rank_zero_round_trip_keeps_shape(self, tmp_path):
         d = CpDecomposition([np.zeros((3, 0)), np.zeros((2, 0))], [])
         path = tmp_path / "d.json"
-        write_decomposition(path, d)
+        path.write_text(json.dumps(decomposition_to_dict(d)))
         back = read_decomposition(path)
         assert back.rank == 0
         assert back.shape == (3, 2)
