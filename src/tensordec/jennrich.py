@@ -21,7 +21,7 @@ to zero, are rejected and redrawn: the ratios concentrate apart for
 well-separated ``w_i``, so a handful of retries suffices away from
 degenerate inputs.
 
-One matcher, ``_bottleneck_match``, pairs found components with true ones
+One assignment, ``_bottleneck_assignment``, pairs found items with true ones
 for both ``match_terms`` (rank-one terms) and ``match_columns`` (columns).
 """
 
@@ -254,24 +254,23 @@ def _bottleneck_assignment(cost):
     return best, errors, max(errors)
 
 
-def _bottleneck_match(found, truth):
-    """:func:`_bottleneck_assignment` over the distances ``norm(f - t)`` of
-    all pairs. ``truth`` is held; ``found``, as long, is read once, and
-    ``map`` drops each found item before reading the next, so one found item
-    and one difference are alive beside the truth."""
-    truth = list(truth)
-    rows = map(lambda f: [np.linalg.norm(f - t) for t in truth], found)
-    return _bottleneck_assignment(np.reshape(list(rows), (len(truth), len(truth))))
+def _term_distances(found, truth):
+    """k x k Frobenius distances between the terms of two decompositions, from
+    the factor Gram matrices: ``<a_i, b_j> = w_i v_j prod_m (F_m^T G_m)_ij``
+    (Kolda & Bader 2009). Exact only to about ``sqrt(eps) max|w|``."""
+    w, v = (d.weights * np.prod([np.linalg.norm(f, axis=0) for f in d.factors], axis=0)
+            for d in (found, truth))
+    inner = np.prod([f.T @ g for f, g in zip(found.factors, truth.factors)], axis=0)
+    return np.sqrt(np.maximum(np.add.outer(w**2, v**2) - 2.0 * np.outer(w, v) * inner, 0.0))
 
 
 def match_terms(found, truth):
     """Optimally align two decompositions and report per-term errors.
 
-    The assignment minimizes the maximum Frobenius distance between whole
-    rank-one terms, so the result is immune to per-column scaling and sign
-    choices (both sides are in canonical form). Ranks must agree. Each term
-    is one array from the kernel of ``synthesize``; the k true terms are
-    held, the found ones are built one at a time.
+    The assignment minimizes the largest :func:`_term_distances` entry, so it
+    ignores scaling and sign choices (both sides are canonical); each reported
+    error is the dense distance of a matched pair, built by the kernel of
+    ``synthesize``. Ranks must agree.
     """
     if found.shape != truth.shape:
         raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
@@ -281,15 +280,14 @@ def match_terms(found, truth):
     def dense_term(d, i):
         return _cp_dense([f[:, i : i + 1] for f in d.factors], d.weights[i : i + 1]).data
 
-    perm, errors, bottleneck = _bottleneck_match(
-        (dense_term(found, i) for i in range(found.rank)),
-        [dense_term(truth, j) for j in range(truth.rank)],
-    )
+    perm, _, _ = _bottleneck_assignment(_term_distances(found, truth))
+    errors = [float(np.linalg.norm(dense_term(found, i) - dense_term(truth, j)))
+              for i, j in enumerate(perm)]
     return RecoveryReport(
         condition_numbers=[_safe_kappa(f) for f in found.factors],
         permutation=perm,
         per_term_errors=errors,
-        max_error=bottleneck,
+        max_error=max(errors, default=0.0),
     )
 
 
@@ -302,5 +300,7 @@ def match_columns(found, truth):
     truth = np.asarray(truth, dtype=np.float64)
     if found.shape != truth.shape:
         raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
-    perm, errors, _ = _bottleneck_match(found.T, truth.T)
+    perm, errors, _ = _bottleneck_assignment(
+        [[np.linalg.norm(f - t) for t in truth.T] for f in found.T]
+    )
     return perm, errors
