@@ -7,10 +7,11 @@ Given ``T = sum_i u_i (x) v_i (x) w_i`` with full-column-rank ``U`` and
 1. draw ``a, b ~ N(0, 1/p)^p`` and form the slice combinations
    ``M_a = T(:, :, a)``, ``M_b = T(:, :, b)``;
 2. take the thin SVD ``M_b = P S Q^T``, cut at the pseudoinverse's rank
-   tolerance, and form the core ``C = P^T M_a Q S^-1``; its eigenvalues are
-   the nonzero eigenvalues of ``M_a pinv(M_b)``, the Rayleigh ratios
+   tolerance (singular values above ``1e-10`` times the largest), and form
+   the r x r core ``C = P^T M_a Q S^-1``; its eigenvalues are the nonzero
+   eigenvalues of ``M_a pinv(M_b)``, the Rayleigh ratios
    ``<w_i, a> / <w_i, b>``, and its leading k x k block is the core of the
-   rank-k truncation;
+   rank-k truncation. At ``rank="auto"``, k is r itself;
 3. the u-factors are ``P_k Y`` for the eigenvectors ``Y`` of that block;
 4. row i of ``pinv(U) T_(1)``, reshaped to m x p, is ``v_i w_i^T``, so the
    top singular triple of each row gives ``v_i``, ``w_i`` and the weight;
@@ -34,7 +35,6 @@ from .matrix_ops import condition_number, eig_nonsymmetric, pseudoinverse, trunc
 from .seeding import TAG_JENNRICH, derive_rng
 from .tensor_core import CpDecomposition, _cp_dense, slice_combination
 
-AUTO_RANK_THRESHOLD = 1e-6
 # Smallest acceptable eigenvalue gap and magnitude before a draw is rejected.
 _MIN_SEP = 1e-9
 # Random draws of the combination vectors before giving up.
@@ -45,8 +45,9 @@ _DRAWS = 6
 class JennrichConfig:
     """Knobs for :func:`jennrich_decompose`.
 
-    rank: target number of terms, or "auto" to keep every eigenvalue above
-    ``1e-6`` times the largest. seed: seeds the random combination vectors.
+    rank: target number of terms, or "auto" for the rank r of ``M_b``, the
+    count of its singular values above ``1e-10`` times the largest. seed:
+    seeds the random combination vectors.
     """
 
     rank: object = "auto"
@@ -131,14 +132,7 @@ def jennrich_decompose(t, config=None):
         left, s, right_t = truncated_svd(slice_combination(t, b))
         core = (left.T @ ma @ right_t.T) / s
         r = s.size
-
-        if rank != "auto":
-            k = rank
-        elif r == 0:
-            k = 0
-        else:
-            mags = np.abs(eig_nonsymmetric(core)[0])
-            k = int(np.count_nonzero(mags > AUTO_RANK_THRESHOLD * np.max(mags)))
+        k = r if rank == "auto" else rank
         if k == 0:
             empty = CpDecomposition(
                 [np.zeros((n, 0)), np.zeros((m, 0)), np.zeros((p, 0))], []

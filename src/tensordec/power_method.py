@@ -148,10 +148,9 @@ def deflate_decompose(t, k, config=None):
     vectors = vectors[:, order]
     # lam * v^(x3) == (-lam) * (-v)^(x3) at odd order, so report every
     # lambda nonnegative and fold the sign into the vector
-    for i in range(vectors.shape[1]):
-        if lambdas[i] < 0:
-            vectors[:, i] = -vectors[:, i]
-            lambdas[i] = -lambdas[i]
+    negative = lambdas < 0
+    vectors[:, negative] *= -1.0
+    lambdas[negative] *= -1.0
     residual = float(np.linalg.norm(arr.ravel()))
     return OrthogonalDecomposition(lambdas=lambdas, vectors=vectors), residual
 

@@ -328,14 +328,14 @@ class PivotBasis(_PivotChecks):
 
     def max_violation(self):
         """Worst deviation from the three defining properties."""
-        worst = 0.0
-        for j in range(self.count):
-            v = self.vectors[:, j]
-            worst = max(worst, float(np.max(np.abs(v))) - 1.0)
-            worst = max(worst, abs(abs(v[self.pivots[j]]) - 1.0))
-            for jp in range(j):
-                worst = max(worst, abs(v[self.pivots[jp]]))
-        return worst
+        v = np.abs(self.vectors)
+        # at_pivots[jp, j] = |v_j| at the pivot of vector jp
+        at_pivots = v[np.asarray(self.pivots, dtype=np.intp)]
+        return float(np.max(np.concatenate([
+            np.max(v, axis=0) - 1.0,
+            np.abs(np.diag(at_pivots) - 1.0),
+            at_pivots[np.triu_indices(self.count, 1)],
+        ]), initial=0.0))
 
     def _distinct(self):
         return len(set(self.pivots)) == self.count
@@ -412,18 +412,18 @@ class PivotBasisL2(_PivotChecks):
 
     def max_violation(self):
         worst = 0.0
-        for t in range(self.rounds):
-            for j, mat in enumerate(self.matrices[t]):
-                worst = max(worst, float(np.max(np.abs(mat))) - 1.0)
-                worst = max(
-                    worst, abs(abs(mat[self.rows[t], self.pivot_columns[t][j]]) - 1.0)
-                )
-                for jp in range(j):
-                    worst = max(
-                        worst, abs(mat[self.rows[t], self.pivot_columns[t][jp]])
-                    )
-                for tp in range(t):
-                    worst = max(worst, float(np.max(np.abs(mat[self.rows[tp], :]))))
+        for t, (row, cols, mats) in enumerate(
+            zip(self.rows, self.pivot_columns, self.matrices)
+        ):
+            mats = np.abs(np.stack(mats))
+            # at_pivots[j, jp] = |matrix j| at the pivot cell of matrix jp
+            at_pivots = mats[:, row, list(cols)]
+            worst = max(worst, float(np.max(np.concatenate([
+                np.max(mats, axis=(1, 2)) - 1.0,
+                np.abs(np.diag(at_pivots) - 1.0),
+                at_pivots[np.tril_indices(len(cols), -1)],
+                mats[:, list(self.rows[:t]), :].ravel(),
+            ]))))
         return worst
 
     def _distinct(self):

@@ -70,6 +70,34 @@ class TestJennrichDecompose:
             found, _ = jennrich_decompose(synthesize(truth))
             assert found.rank == k
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_auto_rank_equals_explicit_rank_on_exact_tensors(self, k):
+        t = synthesize(random_decomposition((8, 8, 8), k, seed=40 + k))
+        auto, auto_report = jennrich_decompose(t, JennrichConfig(seed=k))
+        given, given_report = jennrich_decompose(t, JennrichConfig(rank=k, seed=k))
+        assert auto.rank == k
+        assert auto.weights.tobytes() == given.weights.tobytes()
+        for f, g in zip(auto.factors, given.factors):
+            assert f.tobytes() == g.tobytes()
+        assert auto_report.to_dict() == given_report.to_dict()
+
+    def test_auto_rank_keeps_a_term_orthogonal_to_the_draw(self, monkeypatch):
+        # Term 0's mode-3 column is orthogonal to the first draw's a, so its
+        # ratio <w_0, a> / <w_0, b> is zero. M_b still has rank 6: auto rank
+        # must keep six terms and reject the draw, not drop the term.
+        truth = random_decomposition((8, 8, 8), 6, seed=21)
+        a = derive_rng(4, TAG_JENNRICH, 0).normal(0.0, 1.0 / np.sqrt(8), size=8)
+        factors = [f.copy() for f in truth.factors]
+        factors[2][:, 0] -= (factors[2][:, 0] @ a) / (a @ a) * a
+        truth = CpDecomposition(factors, truth.weights)
+        t = synthesize(truth)
+        seen = _eig_spy(monkeypatch)
+        found, report = jennrich_decompose(t, JennrichConfig(seed=4))
+        assert found.rank == 6
+        assert report.retries == 1
+        _assert_one_eig_per_draw(seen, report, 6)
+        assert match_terms(found, truth).max_error <= 1e-10 * frobenius_norm(t)
+
     def test_explicit_rank_override(self):
         truth = random_decomposition((6, 6, 6), 4, seed=3)
         found, _ = jennrich_decompose(synthesize(truth), JennrichConfig(rank=4))
@@ -159,6 +187,11 @@ def _by_magnitude(values):
     return values[np.argsort(-np.abs(values))]
 
 
+def _assert_one_eig_per_draw(seen, report, k):
+    """One eigendecomposition per draw, of the k x k core, at any rank."""
+    assert [c.shape for c in seen] == [(k, k)] * (report.retries + 1)
+
+
 class TestCore:
     @pytest.mark.parametrize(
         "shape, k, seed", [((8, 8, 8), 8, 31), ((7, 9, 5), 4, 32)]
@@ -170,8 +203,7 @@ class TestCore:
         seen = _eig_spy(monkeypatch)
         _, report = jennrich_decompose(t, JennrichConfig(seed=seed))
         assert report.retries == 0
-        # auto rank: one eig of the whole core, one of its leading k x k block
-        assert [c.shape for c in seen] == [(k, k), (k, k)]
+        _assert_one_eig_per_draw(seen, report, k)
         rng = derive_rng(seed, TAG_JENNRICH, 0)
         a = rng.normal(0.0, 1.0 / np.sqrt(shape[2]), size=shape[2])
         b = rng.normal(0.0, 1.0 / np.sqrt(shape[2]), size=shape[2])
@@ -186,8 +218,7 @@ class TestCore:
         t = synthesize(random_decomposition((8, 8, 8), 5, seed=33))
         seen = _eig_spy(monkeypatch)
         _, report = jennrich_decompose(t, JennrichConfig(rank=5))
-        assert len(seen) == report.retries + 1
-        assert all(c.shape == (5, 5) for c in seen)
+        _assert_one_eig_per_draw(seen, report, 5)
 
     def test_import_skips_scipy_optimize(self):
         # numpy is the only runtime dependency: no scipy module at all

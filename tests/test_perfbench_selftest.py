@@ -10,8 +10,11 @@ here too.
 """
 
 import os
+import re
 import subprocess
 import sys
+
+import tensordec.cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,3 +51,14 @@ def test_traced_overcomplete_call_unflattens_once_per_group():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "3"]
+
+
+def test_every_cli_name_the_benchmark_reads_resolves():
+    # The benchmark reaches the program through ``tensordec.cli``; the
+    # self-test never calls some of those names, so check them all by text.
+    names = set()
+    for script in ("workloads.py", "selftest.py"):
+        with open(os.path.join(ROOT, "perfbench", script), encoding="utf-8") as f:
+            names |= set(re.findall(r"(?<![\w.])cli\.([A-Za-z_]\w*)", f.read()))
+    assert "hmm_sample" in names
+    assert sorted(n for n in names if not hasattr(tensordec.cli, n)) == []

@@ -14,7 +14,12 @@ from tensordec import (
     kr_sigma_experiment,
     projection_experiment,
 )
-from tensordec.smoothed_lab import PivotBasis, perturb_matrix, rotation_pair_basis
+from tensordec.smoothed_lab import (
+    PivotBasis,
+    PivotBasisL2,
+    perturb_matrix,
+    rotation_pair_basis,
+)
 from tensordec.tensor_core import khatri_rao
 from tensordec import smoothed_lab
 from tensordec.seeding import TAG_LAB
@@ -433,3 +438,98 @@ class TestBuildPivotBasisL2:
         # n^2 = 9 matches the basis length, so only the sign check catches -3
         with pytest.raises(PreconditionError, match="n must be at least 1"):
             build_pivot_basis_l2(np.eye(9)[:, :2], n)
+
+
+def _max_violation_loop(pb):
+    """Vector-by-vector reference for PivotBasis.max_violation."""
+    worst = 0.0
+    for j in range(pb.count):
+        v = pb.vectors[:, j]
+        worst = max(worst, float(np.max(np.abs(v))) - 1.0)
+        worst = max(worst, abs(abs(v[pb.pivots[j]]) - 1.0))
+        for jp in range(j):
+            worst = max(worst, abs(v[pb.pivots[jp]]))
+    return worst
+
+
+def _max_violation_l2_loop(pb):
+    """Matrix-by-matrix reference for PivotBasisL2.max_violation."""
+    worst = 0.0
+    for t in range(pb.rounds):
+        for j, mat in enumerate(pb.matrices[t]):
+            worst = max(worst, float(np.max(np.abs(mat))) - 1.0)
+            worst = max(worst, abs(abs(mat[pb.rows[t], pb.pivot_columns[t][j]]) - 1.0))
+            for jp in range(j):
+                worst = max(worst, abs(mat[pb.rows[t], pb.pivot_columns[t][jp]]))
+            for tp in range(t):
+                worst = max(worst, float(np.max(np.abs(mat[pb.rows[tp], :]))))
+    return worst
+
+
+def _gate_basis(seed, trial, rows, period):
+    """A random orthonormal basis as the acceptance gate for pivots draws it."""
+    rng = derive_rng(seed, 97, trial)
+    return np.linalg.qr(rng.standard_normal((rows, 1 + trial % period)))[0]
+
+
+class TestMaxViolation:
+    @pytest.mark.parametrize("trial", range(0, 200, 7))
+    def test_vector_pivots_equal_the_loop(self, trial):
+        pb = build_pivot_basis(_gate_basis(8, trial, 32, 16))
+        assert pb.max_violation() == _max_violation_loop(pb)
+
+    @pytest.mark.parametrize("trial", range(0, 50, 3))
+    def test_matrix_pivots_equal_the_loop(self, trial):
+        pb = build_pivot_basis_l2(_gate_basis(9, trial, 64, 32), 8)
+        assert pb.max_violation() == _max_violation_l2_loop(pb)
+
+    # (vector j, row or "pivot" of vector jp, new value, expected violation)
+    @pytest.mark.parametrize("j, where, value, expected", [
+        (2, "free", 1.5, 0.5),         # an entry beyond 1
+        (2, 2, 0.75, 0.25),            # own pivot entry not +-1
+        (3, 1, -0.3, 0.3),             # nonzero at an earlier pivot
+        (1, 3, 0.3, None),             # a later vector's pivot is free
+    ])
+    def test_vector_pivots_break_one_property(self, j, where, value, expected):
+        good = build_pivot_basis(_gate_basis(8, 5, 32, 16))
+        vectors = good.vectors.copy()
+        row = (sorted(set(range(32)) - set(good.pivots))[0] if where == "free"
+               else good.pivots[where])
+        vectors[row, j] = value
+        bad = PivotBasis(vectors=vectors, pivots=good.pivots)
+        got = bad.max_violation()
+        assert got == _max_violation_loop(bad)
+        if expected is None:
+            assert got <= 1e-10
+        else:
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    # (round, matrix, cell, new value, expected violation)
+    @pytest.mark.parametrize("t, j, cell, value, expected", [
+        (1, 1, "free", -1.25, 0.25),   # an entry beyond 1
+        (1, 0, "own", 0.5, 0.5),       # own pivot entry not +-1
+        (0, 2, "earlier", 0.4, 0.4),   # nonzero at an earlier pivot of the round
+        (1, 1, "earlier row", 0.2, 0.2),  # nonzero on an earlier round's row
+        (0, 0, "later", 0.4, None),    # a later matrix's pivot is free
+    ])
+    def test_matrix_pivots_break_one_property(self, t, j, cell, value, expected):
+        good = build_pivot_basis_l2(_gate_basis(9, 15, 64, 32), 8)
+        assert good.row_counts() == [3, 2]
+        matrices = [[m.copy() for m in mats] for mats in good.matrices]
+        row, cols = good.rows[t], good.pivot_columns[t]
+        at = {
+            "own": (row, cols[j]),
+            "earlier": (row, cols[0]),
+            "later": (row, cols[1]),
+            "earlier row": (good.rows[0], 5),
+            "free": (min(set(range(8)) - set(good.rows)), 6),
+        }[cell]
+        matrices[t][j][at] = value
+        bad = PivotBasisL2(rows=good.rows, pivot_columns=good.pivot_columns,
+                           matrices=tuple(tuple(m) for m in matrices))
+        got = bad.max_violation()
+        assert got == _max_violation_l2_loop(bad)
+        if expected is None:
+            assert got <= 1e-10
+        else:
+            assert got == pytest.approx(expected, abs=1e-12)
