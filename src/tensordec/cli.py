@@ -42,6 +42,7 @@ from .synthetic import (
     gmm_orthogonal_params,
     hmm_random_params,
     random_decomposition,
+    random_orthogonal_symmetric,
     smoothed_decomposition,
 )
 from .tensor_core import (
@@ -142,13 +143,19 @@ def cmd_synth(args, seed, mapper):
         # checked before any factor is drawn: the factors alone can be large
         raise MemoryError(f"a dense {shape} tensor needs {need} bytes, "
                           f"more than the {physical} of physical memory")
+    if args.rho is not None and args.model != "smoothed":
+        raise PreconditionError("--rho needs --model smoothed")
     if args.model == "exact":
-        if args.rho is not None:
-            raise PreconditionError("--rho needs --model smoothed")
         d = random_decomposition(shape, args.rank, seed=seed)
-    else:
+    elif args.model == "smoothed":
         rho = 0.5 if args.rho is None else args.rho
         d = smoothed_decomposition(shape, args.rank, rho=rho, seed=seed)
+    else:
+        if len(shape) != 3 or len(set(shape)) != 1:
+            raise PreconditionError(
+                f"--model orthogonal-symmetric needs a cubic order-3 shape, got {shape}"
+            )
+        d = random_orthogonal_symmetric(shape[0], args.rank, seed=seed)
     tensor = synthesize(d)
     if args.noise > 0:
         rng = derive_rng(seed, TAG_NOISE, 0)
@@ -395,7 +402,10 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a random instance and its tensor")
     p.add_argument("--shape", required=True, help="comma-separated mode sizes")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--model", choices=["exact", "smoothed"], default="exact")
+    p.add_argument("--model", choices=["exact", "smoothed", "orthogonal-symmetric"],
+                   default="exact",
+                   help="orthogonal-symmetric: a cubic order-3 tensor with one shared "
+                   "orthonormal factor, rank <= n (input for --method power)")
     p.add_argument("--rho", type=float, default=None,
                    help="perturbation scale for --model smoothed (default 0.5)")
     p.add_argument("--noise", type=_nonnegative_float, default=0.0,

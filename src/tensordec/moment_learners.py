@@ -19,6 +19,15 @@ only up to the usual CP rescaling ambiguity. The mixture convention
 weight; the chain convention (stationary weights, stochastic columns)
 resolves it through two auxiliary moments, the center observation mean
 and the center-future cross moment, both estimated from the same windows.
+
+Memory is the N-row sample array plus O(block) scratch. The samplers fill
+their rows in blocks of _MOMENT_BLOCK rows, one derived stream each, and
+add the state means one row chunk at a time. The learners reduce the
+samples to their moments in one pass of fixed blocks of _PRODUCT_BLOCK
+rows, so no temporary grows with the sample count and the summation order
+is fixed. ``gmm_statistic_t3`` and ``hmm_moment_tensor`` have no caller in
+the learners; they stay because the benchmark's traced run wraps them by
+name.
 """
 
 import functools
@@ -42,9 +51,15 @@ from .tensor_core import (
 )
 
 _MOMENT_BLOCK = 100_000
-# Rows per GEMM in _third_moment: bounds its temporary (8 MiB at n = 16) and
-# fixes the summation order. Kept apart from _MOMENT_BLOCK, which fixes the samples.
+# Rows per block of every row-blocked pass (sampler means, moment sums):
+# bounds its scratch (8 MiB for the third moment at n = 16) and fixes the
+# summation order. Kept apart from _MOMENT_BLOCK, which fixes the samples.
 _PRODUCT_BLOCK = 4096
+
+
+def _row_blocks(n_rows):
+    """Slices of _PRODUCT_BLOCK rows covering ``n_rows`` rows, in order."""
+    return [slice(start, start + _PRODUCT_BLOCK) for start in range(0, n_rows, _PRODUCT_BLOCK)]
 
 
 # ---------------------------------------------------------------------------
@@ -161,50 +176,58 @@ def gmm_sample(params, n_samples, seed=0, mapper=map):
     n_samples = int(n_samples)
     if n_samples < 1:
         raise PreconditionError("need at least one sample")
+    means = params.means.T
 
     def fill(block, rows):
         rng = derive_rng(seed, TAG_SAMPLER, block)
         labels = rng.integers(params.k, size=len(rows))
         rng.standard_normal(out=rows)
-        rows += np.take(params.means.T, labels, axis=0)
+        for chunk in _row_blocks(len(rows)):
+            rows[chunk] += means[labels[chunk]]
 
     out = np.empty((n_samples, params.dimension))
     return fill_blocks(out, _MOMENT_BLOCK, fill, mapper)
 
 
-def _third_moment(a, b, c):
-    """``E[a (x) b (x) c]`` over the rows: for each fixed block of rows, in
-    order, one GEMM ``(a (x) b)^T c`` into a single accumulator. The product
-    is formed from contiguous (width, rows) transposes, so its broadcast
-    loops over the rows, not over a few-wide inner axis."""
-    n_rows = a.shape[0]
-    width = a.shape[1] * b.shape[1]
-    acc = np.zeros((width, c.shape[1]))
-    for start in range(0, n_rows, _PRODUCT_BLOCK):
-        rows = slice(start, start + _PRODUCT_BLOCK)
-        at = np.ascontiguousarray(a[rows].T)
-        bt = np.ascontiguousarray(b[rows].T)
-        acc += khatri_rao(at, bt) @ c[rows]
-    return acc.reshape(a.shape[1], b.shape[1], c.shape[1]) / n_rows
+def _product_sum(a, b, c):
+    """``sum over the rows of a (x) b (x) c`` as the (a*b widths, c width)
+    matrix ``(a (x) b)^T c``: one GEMM, formed from contiguous (width, rows)
+    transposes, so its broadcast loops over the rows, not over a few-wide
+    inner axis. Callers hand it one row block at a time."""
+    return khatri_rao(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)) @ c
 
 
-def _corrected_t3(x, noise_cov):
-    """Third moment of the rows of ``x`` less the symmetrized
-    ``mean (x) noise_cov`` that zero-mean noise of that covariance adds."""
-    m1 = x.mean(axis=0)
+def _corrected_t3(samples, w):
+    """Third moment of the rows of ``y = samples @ w`` less the symmetrized
+    ``mean(y) (x) w^T w`` that isotropic unit-variance noise adds.
+
+    One pass of fixed row blocks: each block is mapped through ``w`` and
+    added into the sums of y and of y (x) y (x) y, so the (N, width) y is
+    never formed.
+    """
+    n_rows, width = samples.shape[0], w.shape[1]
+    total = np.zeros(width)
+    acc = np.zeros((width * width, width))
+    for rows in _row_blocks(n_rows):
+        y = samples[rows] @ w
+        total += y.sum(axis=0)
+        acc += _product_sum(y, y, y)
+    m1 = total / n_rows
+    noise_cov = w.T @ w
     correction = (
         np.einsum("a,bc->abc", m1, noise_cov)
         + np.einsum("b,ac->abc", m1, noise_cov)
         + np.einsum("c,ab->abc", m1, noise_cov)
     )
-    return DenseTensor(_third_moment(x, x, x) - correction)
+    return DenseTensor(acc.reshape(width, width, width) / n_rows - correction)
 
 
 def gmm_statistic_t3(samples):
     """Unbiased estimate of ``(1/k) sum_i mu_i^(x3)`` from raw samples.
 
     Subtracts the symmetrized ``mean (x) identity`` correction that the
-    isotropic unit-variance noise adds to the raw third moment.
+    isotropic unit-variance noise adds to the raw third moment: the
+    whitened accumulator of ``gmm_learn`` at ``W = I``.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 1:
@@ -310,8 +333,10 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
     Both methods whiten first: with W from the second moment's top-k
     eigenspace, the (k, k, k) third moment of ``y = x W`` less the noise
     correction ``sym(mean(y) (x) W^T W)`` is orthogonally decomposable, so
-    the dense n^3 moment is never built. This is the map ``whiten`` applies
-    to ``gmm_statistic_t3(x)``; the two routes differ only by rounding.
+    the dense n^3 moment is never built, nor the whitened (N, k) copy: each
+    fixed block of rows is whitened and reduced in one pass. This is the map
+    ``whiten`` applies to ``gmm_statistic_t3(x)``; the two routes differ
+    only by rounding.
     ``method`` picks the decomposer of the whitened moment: the power
     method (the default) or simultaneous diagonalization (``"jennrich"``).
     ``truth`` (a GmmParams or an (n, k) means matrix) triggers matched
@@ -331,7 +356,7 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
         )
     else:
         forward, back = _whitening_maps(gmm_second_moment(samples), samples.shape[1], k)
-        t3 = _corrected_t3(samples @ forward, forward.T @ forward)
+        t3 = _corrected_t3(samples, forward)
         result = _whitened_means(t3, back, k, method, seed)
     if truth is not None:
         true_means = truth.means if isinstance(truth, GmmParams) else np.asarray(truth)
@@ -344,6 +369,19 @@ def gmm_learn(samples, k, method="power", seed=0, truth=None):
 
 # ---------------------------------------------------------------------------
 # Hidden Markov chains.
+
+def _chain_states(draws, cum_w, cum_p):
+    """(rows, window) state paths from (window, rows) uniform draws: row 0
+    of ``draws`` picks the stationary start, row t the step from t - 1."""
+    k = cum_w.size
+    window, count = draws.shape
+    states = np.empty((count, window), dtype=np.int64)
+    states[:, 0] = np.minimum(np.searchsorted(cum_w, draws[0], side="right"), k - 1)
+    for t in range(1, window):
+        cums = cum_p[:, states[:, t - 1]]
+        states[:, t] = np.minimum((draws[t][None, :] >= cums).sum(axis=0), k - 1)
+    return states
+
 
 def hmm_sample(params, n_windows, window=3, seed=0, mapper=map):
     """Independent stationary windows of ``window`` consecutive observations.
@@ -358,47 +396,40 @@ def hmm_sample(params, n_windows, window=3, seed=0, mapper=map):
         raise PreconditionError("need at least one window")
     if window < 3 or window % 2 == 0:
         raise PreconditionError("window must be odd and at least 3")
-    k = params.k
     cum_w = np.cumsum(params.stationary)
     cum_p = np.cumsum(params.transition, axis=0)
+    means = params.observation_means.T
+    noisy = params.noise_scale > 0
 
     def fill(block, rows):
-        count = len(rows)
         rng = derive_rng(seed, TAG_SAMPLER, block)
-        states = np.empty((count, window), dtype=np.int64)
-        states[:, 0] = np.minimum(
-            np.searchsorted(cum_w, rng.random(count), side="right"), k - 1
-        )
-        for t in range(1, window):
-            u = rng.random(count)
-            cums = cum_p[:, states[:, t - 1]]
-            states[:, t] = np.minimum((u[None, :] >= cums).sum(axis=0), k - 1)
-        if params.noise_scale > 0:
+        # row t holds the draws of step t, in the stream order of one call per step
+        draws = rng.random((window, len(rows)))
+        if noisy:
             rng.standard_normal(out=rows)
             rows *= params.noise_scale
-            rows += np.take(params.observation_means.T, states, axis=0)
-        else:
-            np.take(params.observation_means.T, states, axis=0, out=rows)
+        for chunk in _row_blocks(len(rows)):
+            states = _chain_states(draws[:, chunk], cum_w, cum_p)
+            if noisy:
+                rows[chunk] += means[states]
+            else:
+                rows[chunk] = means[states]
 
     out = np.empty((n_windows, window, params.dimension))
     return fill_blocks(out, _MOMENT_BLOCK, fill, mapper)
 
 
 def _window_blocks(windows, context):
-    windows = np.asarray(windows, dtype=np.float64)
-    context = int(context)
-    if windows.ndim != 3 or windows.shape[0] < 1:
-        raise PreconditionError("windows must be a nonempty (N, window, n) array")
-    if context < 1 or windows.shape[1] != 2 * context + 1:
-        raise PreconditionError(
-            f"window length {windows.shape[1]} does not match context {context}"
-        )
-    # per-sample Kronecker product of each side, nearest to the center major
+    """Left, center and right blocks of (rows, 2 context + 1, n) windows: each
+    side is the per-window Kronecker product, nearest to the center major.
+    All three are transposed views of contiguous (width, rows) arrays, the
+    layout ``_product_sum`` and the Kronecker products loop fastest over."""
+    by_time = np.ascontiguousarray(windows.transpose(1, 2, 0))
     left, right = (
-        functools.reduce(khatri_rao, [windows[:, t, :].T for t in times]).T
+        functools.reduce(khatri_rao, [by_time[t] for t in times]).T
         for times in (range(context - 1, -1, -1), range(context + 1, 2 * context + 1))
     )
-    return left, windows[:, context, :], right
+    return left, by_time[context].T, right
 
 
 def hmm_moment_tensor(windows, context=1):
@@ -409,7 +440,7 @@ def hmm_moment_tensor(windows, context=1):
     observations (nearest first). The population value has rank k with the
     observation means as the center-mode factors.
     """
-    return DenseTensor(_third_moment(*_window_blocks(windows, context)))
+    return hmm_empirical_moments(windows, context).tensor
 
 
 @dataclass(frozen=True)
@@ -429,14 +460,35 @@ class HmmMoments:
 
 
 def hmm_empirical_moments(windows, context=1):
-    """All statistics the learner needs, estimated from the same windows."""
-    left, center, right = _window_blocks(windows, context)
-    n_samples = center.shape[0]
+    """All statistics the learner needs, estimated from the same windows.
+
+    One pass of fixed row blocks: each block's fused Kronecker sides are
+    built for that block alone and added into the four sums, so no
+    temporary grows with the number of windows.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    context = int(context)
+    if windows.ndim != 3 or windows.shape[0] < 1:
+        raise PreconditionError("windows must be a nonempty (N, window, n) array")
+    if context < 1 or windows.shape[1] != 2 * context + 1:
+        raise PreconditionError(
+            f"window length {windows.shape[1]} does not match context {context}"
+        )
+    n_rows, _, n = windows.shape
+    side = n**context
+    sums = [np.zeros(n), np.zeros((n, n)), np.zeros((n, side)), np.zeros((side * n, side))]
+    for rows in _row_blocks(n_rows):
+        left, center, right = _window_blocks(windows[rows], context)
+        parts = (center.sum(axis=0), center.T @ center, center.T @ right,
+                 _product_sum(left, center, right))
+        for total, part in zip(sums, parts):
+            total += part
+    mean, second, future, third = (total / n_rows for total in sums)
     return HmmMoments(
-        tensor=DenseTensor(_third_moment(left, center, right)),
-        center_mean=center.mean(axis=0),
-        center_future=center.T @ right / n_samples,
-        center_second=center.T @ center / n_samples,
+        tensor=DenseTensor(third.reshape(side, n, side)),
+        center_mean=mean,
+        center_future=future,
+        center_second=second,
     )
 
 

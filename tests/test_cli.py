@@ -155,6 +155,14 @@ class TestSynth:
         assert code == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("shape", ["6,6,5", "6,6", "4,4,4,4"])
+    def test_orthogonal_symmetric_needs_a_cubic_shape(self, tmp_path, capsys, shape):
+        code, out = run(tmp_path, "synth", "--shape", shape, "--rank", "2",
+                        "--model", "orthogonal-symmetric")
+        assert code == 4
+        assert "cubic order-3 shape" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDecompose:
     def test_round_trip_reports_small_error(self, tmp_path):
@@ -228,6 +236,18 @@ class TestDecompose:
                 primary.append({p.name: p.read_bytes() for p in out.iterdir()
                                 if p.name != "manifest.json"})
             assert primary[0] == primary[1]
+
+    def test_power_method_on_orthogonal_symmetric_synth(self, tmp_path):
+        _, synth_out = run(tmp_path / "s", "synth", "--shape", "6,6,6", "--rank", "3",
+                           "--model", "orthogonal-symmetric", "--seed", "1")
+        code, out = run(tmp_path / "d", "decompose",
+                        "--input", str(synth_out / "tensor.tnsr"),
+                        "--method", "power", "--rank", "3", "--seed", "1",
+                        "--truth", str(synth_out / "truth.json"))
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert report["deflation_residual"] < 1e-10
+        assert report["max_error"] < 1e-10
 
     def test_power_requires_rank(self, tmp_path):
         _, synth_out = run(tmp_path / "s", "synth", "--shape", "4,4,4",
@@ -582,6 +602,8 @@ class TestIgnoredFlags:
             (["synth", "--shape", "4,4,4", "--rank", "2", "--model", "exact",
               "--rho", "7"], "--rho"),
             (["synth", "--shape", "4,4,4", "--rank", "2", "--rho", "0.5"], "--rho"),
+            (["synth", "--shape", "4,4,4", "--rank", "2", "--model", "orthogonal-symmetric",
+              "--rho", "0.5"], "--rho"),
         ],
     )
     def test_flag_the_method_does_not_use_exits_4(self, tmp_path, capsys, argv, flag):

@@ -1,6 +1,8 @@
 """Mixture and chain learners: samplers, moment statistics, recovery."""
 
 import functools
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,16 +26,18 @@ from tensordec import (
 from tensordec import JennrichConfig, jennrich_decompose, moment_learners
 from tensordec.matrix_ops import pseudoinverse
 from tensordec.moment_learners import (
+    _MOMENT_BLOCK,
     _PRODUCT_BLOCK,
     GmmParams,
     HmmParams,
-    _third_moment,
+    _corrected_t3,
     gmm_second_moment,
     gmm_statistic_t3,
     hmm_empirical_moments,
     hmm_moment_tensor,
     stationary_distribution,
 )
+from tensordec.seeding import TAG_SAMPLER, derive_rng, fill_blocks
 from tensordec.tensor_core import CpDecomposition, _als_refine, khatri_rao
 
 
@@ -203,38 +207,152 @@ class TestGmmStatistics:
         assert np.allclose(m, np.outer(mu, mu) - np.eye(3), atol=1e-12)
 
 
+def _corrected_reference(y, cov):
+    """Third moment of the rows of ``y`` less sym(mean(y) (x) cov), by einsum."""
+    m1 = y.mean(axis=0)
+    return np.einsum("sa,sb,sc->abc", y, y, y) / y.shape[0] - (
+        np.einsum("a,bc->abc", m1, cov)
+        + np.einsum("b,ac->abc", m1, cov)
+        + np.einsum("c,ab->abc", m1, cov)
+    )
+
+
 class TestThirdMomentKernel:
+    # the row-blocked third moments, on both sides of a block boundary
     ROWS = [1, _PRODUCT_BLOCK - 1, _PRODUCT_BLOCK, _PRODUCT_BLOCK + 1]
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_symmetric_matches_einsum(self, n_rows):
         x = np.random.default_rng(n_rows).standard_normal((n_rows, 5)) + 1.0
-        ref = np.einsum("sa,sb,sc->abc", x, x, x) / n_rows
-        assert_rel_close(_third_moment(x, x, x), ref, 1e-12)
+        ref = _corrected_reference(x, np.eye(5))
+        assert_rel_close(gmm_statistic_t3(x).data, ref, 1e-12)
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_asymmetric_widths_match_einsum(self, n_rows):
-        rng = np.random.default_rng(n_rows + 1)
-        a, b, c = (rng.standard_normal((n_rows, w)) for w in (3, 4, 2))
-        ref = np.einsum("sa,sb,sc->abc", a, b, c) / n_rows
-        assert_rel_close(_third_moment(a, b, c), ref, 1e-12)
+        # context 2 fuses two observations a side: widths n^2, n and n^2
+        windows = np.random.default_rng(n_rows + 1).standard_normal((n_rows, 5, 3))
+        left = np.einsum("si,sj->sij", windows[:, 1], windows[:, 0]).reshape(n_rows, -1)
+        right = np.einsum("si,sj->sij", windows[:, 3], windows[:, 4]).reshape(n_rows, -1)
+        ref = np.einsum("sa,sb,sc->abc", left, windows[:, 2], right) / n_rows
+        assert_rel_close(hmm_empirical_moments(windows, 2).tensor.data, ref, 1e-12)
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_strided_window_views_match_einsum(self, n_rows):
-        # the HMM path at context 1 passes windows[:, t, :], views with a
-        # row stride of the whole window
-        windows = np.random.default_rng(n_rows + 2).standard_normal((n_rows, 3, 6))
+        # windows handed in as a strided view take the same pass, uncopied
+        base = np.random.default_rng(n_rows + 2).standard_normal((n_rows, 3, 12))
+        windows = base[:, :, ::2]
+        assert not windows.flags.c_contiguous
         a, b, c = (windows[:, t, :] for t in range(3))
-        assert a.strides[0] == windows.strides[0]
         ref = np.einsum("sa,sb,sc->abc", a, b, c) / n_rows
-        assert_rel_close(_third_moment(a, b, c), ref, 1e-12)
+        assert_rel_close(hmm_empirical_moments(windows, 1).tensor.data, ref, 1e-12)
 
     @pytest.mark.parametrize("n_rows", ROWS)
     def test_width_three_matches_einsum(self, n_rows):
-        # the whitened moment of a three-component mixture
-        y = np.random.default_rng(n_rows + 3).standard_normal((n_rows, 3)) + 0.5
-        ref = np.einsum("sa,sb,sc->abc", y, y, y) / n_rows
-        assert_rel_close(_third_moment(y, y, y), ref, 1e-12)
+        # the whitened moment of a three-component mixture, y = x w never formed
+        rng = np.random.default_rng(n_rows + 3)
+        x = rng.standard_normal((n_rows, 6)) + 0.5
+        w = rng.standard_normal((6, 3))
+        assert_rel_close(_corrected_t3(x, w).data, _corrected_reference(x @ w, w.T @ w), 1e-12)
+
+
+def _take_gmm_sample(params, n_samples, seed):
+    """The mixture sampler with one np.take of means per block: the fill the
+    row-chunked one replaced, kept as the reference its bytes are pinned to."""
+    def fill(block, rows):
+        rng = derive_rng(seed, TAG_SAMPLER, block)
+        labels = rng.integers(params.k, size=len(rows))
+        rng.standard_normal(out=rows)
+        rows += np.take(params.means.T, labels, axis=0)
+
+    return fill_blocks(np.empty((n_samples, params.dimension)), _MOMENT_BLOCK, fill)
+
+
+def _take_hmm_sample(params, n_windows, window, seed):
+    """The chain sampler with whole-block state paths and one np.take of
+    means per block, likewise kept as the byte reference."""
+    k = params.k
+    cum_w = np.cumsum(params.stationary)
+    cum_p = np.cumsum(params.transition, axis=0)
+
+    def fill(block, rows):
+        count = len(rows)
+        rng = derive_rng(seed, TAG_SAMPLER, block)
+        states = np.empty((count, window), dtype=np.int64)
+        states[:, 0] = np.minimum(
+            np.searchsorted(cum_w, rng.random(count), side="right"), k - 1
+        )
+        for t in range(1, window):
+            u = rng.random(count)
+            cums = cum_p[:, states[:, t - 1]]
+            states[:, t] = np.minimum((u[None, :] >= cums).sum(axis=0), k - 1)
+        if params.noise_scale > 0:
+            rng.standard_normal(out=rows)
+            rows *= params.noise_scale
+            rows += np.take(params.observation_means.T, states, axis=0)
+        else:
+            np.take(params.observation_means.T, states, axis=0, out=rows)
+
+    out = np.empty((n_windows, window, params.dimension))
+    return fill_blocks(out, _MOMENT_BLOCK, fill)
+
+
+@pytest.fixture(params=["map", "pool"])
+def mapper(request):
+    if request.param == "map":
+        yield map
+    else:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            yield pool.map
+
+
+class TestSamplerBytes:
+    # a short last stream block whose last row chunk is short as well
+    N_ROWS = _MOMENT_BLOCK + _PRODUCT_BLOCK + 7
+
+    def test_gmm_bytes_equal_the_take_fill(self, mapper):
+        params = gmm_orthogonal_params(8, 3, seed=40)
+        got = gmm_sample(params, self.N_ROWS, seed=41, mapper=mapper)
+        assert got.tobytes() == _take_gmm_sample(params, self.N_ROWS, 41).tobytes()
+
+    @pytest.mark.parametrize("window", [3, 5])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_hmm_bytes_equal_the_take_fill(self, mapper, window, noise):
+        params = hmm_random_params(6, 3, seed=42, noise_scale=noise)
+        got = hmm_sample(params, self.N_ROWS, window=window, seed=43, mapper=mapper)
+        ref = _take_hmm_sample(params, self.N_ROWS, window, 43)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates beyond what already exists."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchDoesNotGrowWithSamples:
+    # N and 2N are whole numbers of row blocks, so a pass of fixed blocks
+    # peaks at the same scratch on both; an N-row temporary would double.
+    N_ROWS = 12 * _PRODUCT_BLOCK
+
+    def test_hmm_moments_at_window_5(self):
+        params = hmm_random_params(6, 3, seed=44, noise_scale=0.1)
+        windows = hmm_sample(params, 2 * self.N_ROWS, window=5, seed=45)
+        peaks = [_traced_peak(hmm_empirical_moments, windows[:rows], 2)
+                 for rows in (self.N_ROWS, 2 * self.N_ROWS)]
+        one_block = windows[:_PRODUCT_BLOCK].nbytes
+        assert peaks[1] - peaks[0] <= one_block, peaks
+
+    def test_gmm_learn(self):
+        params = gmm_orthogonal_params(8, 3, norm=5.0, seed=46)
+        samples = gmm_sample(params, 2 * self.N_ROWS, seed=47)
+        peaks = [_traced_peak(gmm_learn, samples[:rows], 3)
+                 for rows in (self.N_ROWS, 2 * self.N_ROWS)]
+        one_block = samples[:_PRODUCT_BLOCK].nbytes
+        assert peaks[1] - peaks[0] <= one_block, peaks
 
 
 class TestGmmLearn:
