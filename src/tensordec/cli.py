@@ -29,7 +29,7 @@ from .errors import DegeneracyError, FormatError, PreconditionError
 from .jennrich import JennrichConfig, RecoveryReport, jennrich_decompose, match_terms
 from .moment_learners import gmm_learn, gmm_sample, hmm_learn, hmm_sample
 from .overcomplete import FlatteningPlan, overcomplete_decompose
-from .power_method import PowerConfig, deflate_decompose, whiten
+from .power_method import PowerConfig, _symmetrize, deflate_decompose, whiten
 from .seeding import TAG_LAB, TAG_NOISE, derive_rng
 from .smoothed_lab import (
     _check_budget,
@@ -160,6 +160,9 @@ def cmd_synth(args, seed, mapper):
     if args.noise > 0:
         rng = derive_rng(seed, TAG_NOISE, 0)
         noise = rng.uniform(-args.noise, args.noise, tensor.shape)
+        if args.model == "orthogonal-symmetric":
+            # the power method takes only symmetric tensors
+            noise = _symmetrize(noise)
         tensor = DenseTensor(tensor.data + noise)
     outputs = {
         "truth.json": _json_bytes(decomposition_to_dict(d)),
@@ -409,7 +412,8 @@ def build_parser():
     p.add_argument("--rho", type=float, default=None,
                    help="perturbation scale for --model smoothed (default 0.5)")
     p.add_argument("--noise", type=_nonnegative_float, default=0.0,
-                   help="entrywise uniform noise magnitude added to the tensor")
+                   help="entrywise uniform noise magnitude added to the tensor "
+                   "(symmetrized for --model orthogonal-symmetric)")
     _add_common(p)
     p.set_defaults(func=cmd_synth, name="synth")
 

@@ -13,8 +13,9 @@ Given ``T = sum_i u_i (x) v_i (x) w_i`` with full-column-rank ``U`` and
    ``<w_i, a> / <w_i, b>``, and its leading k x k block is the core of the
    rank-k truncation. At ``rank="auto"``, k is r itself;
 3. the u-factors are ``P_k Y`` for the eigenvectors ``Y`` of that block;
-4. row i of ``pinv(U) T_(1)``, reshaped to m x p, is ``v_i w_i^T``, so the
-   top singular triple of each row gives ``v_i``, ``w_i`` and the weight;
+4. row i of ``pinv(U) T_(1)``, reshaped to m x p, is ``v_i w_i^T``, so one
+   stacked rank-one split of the k rows (``_split_rank_one``, shared with
+   the unflatten) gives ``v_i``, ``w_i``, the weight and the split residual;
 5. return the canonical decomposition.
 
 Random draws whose eigenvalue ratios come too close together, or too close
@@ -31,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneracyError, PreconditionError
-from .matrix_ops import condition_number, eig_nonsymmetric, pseudoinverse, truncated_svd
+from .matrix_ops import (_split_rank_one, condition_number, eig_nonsymmetric,
+                         pseudoinverse, truncated_svd)
 from .seeding import TAG_JENNRICH, derive_rng
 from .tensor_core import CpDecomposition, _cp_dense, slice_combination
 
@@ -155,17 +157,14 @@ def jennrich_decompose(t, config=None):
         # Row i of pinv(U) T_(1) is v_i (x) w_i; its top singular triple
         # splits it into the other two factors and the weight.
         rows = (pseudoinverse(u_mat) @ t.data.reshape(n, m * p)).reshape(k, m, p)
-        v_split, sigma, w_split = np.linalg.svd(rows, full_matrices=False)
-        split_residual = np.linalg.norm(sigma[:, 1:], axis=1) / sigma[:, 0]
+        v_mat, sigma, w_mat, tail = _split_rank_one(rows)
 
-        decomposition = CpDecomposition(
-            [u_mat, v_split[:, :, 0].T, w_split[:, 0, :].T], sigma[:, 0]
-        )
+        decomposition = CpDecomposition([u_mat, v_mat, w_mat], sigma)
         report = RecoveryReport(
             condition_numbers=[_safe_kappa(f) for f in decomposition.factors],
             eigenvalue_min_gap=gap,
             eigenvalue_min_magnitude=mag,
-            max_split_residual=float(np.max(split_residual)),
+            max_split_residual=float(np.max(tail / sigma)),
             max_imag_part=imag,
             retries=attempt,
         )

@@ -3,7 +3,8 @@
 Everything here defers the numerics to LAPACK via numpy; the value added is
 fixed conventions (relative rank cutoffs, unit eigenvectors) and the
 leave-one-out distance, which is a column-wise projection quantity rather
-than a stock kernel.
+than a stock kernel. ``_split_rank_one`` is the one rank-one split of the
+package: Jennrich's step 4 and the unflatten of fused modes both call it.
 """
 
 import numpy as np
@@ -30,6 +31,15 @@ def truncated_svd(m):
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     r = int(np.count_nonzero(s > _RANK_RTOL * s[0]))
     return u[:, :r], s[:r], vh[:r]
+
+
+def _split_rank_one(blocks):
+    """Best rank-one fit of each matrix of a (k, a, b) stack by one stacked
+    SVD: returns the unit left vectors (a, k), the top singular values (k,),
+    the unit right vectors (b, k) and the norms of the remaining singular
+    values (k,), which are each fit's Frobenius residual (Eckart-Young)."""
+    u, s, vh = np.linalg.svd(blocks, full_matrices=False)
+    return u[:, :, 0].T, s[:, 0], vh[:, 0, :].T, np.linalg.norm(s[:, 1:], axis=1)
 
 
 def _basis_rank(s, shape):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .jennrich import jennrich_decompose
+from .matrix_ops import _split_rank_one
 from .tensor_core import CpDecomposition, _als_refine, _cp_dense, flatten_to_order3
 
 SUSPECT_RESIDUAL = 1e-3
@@ -87,13 +88,14 @@ def unflatten_rank_one(columns, mode_sizes):
     relative Frobenius error. A residual far from zero means the column was
     not close to rank one. A zero column fits as zero vectors, residual 0.
 
-    One mode returns the columns as they are. Two modes are solved exactly
-    by one stacked truncated SVD of all k blocks. Three or more fit column
-    by column with the package's ALS refinement at rank one, started from
-    each unfolding's top left singular vector with the fitted scale on the
-    first, so an exact rank-one input stops after one sweep. Where that
-    start fits a scale of exactly zero, the fibres through the
-    largest-magnitude entry start it instead.
+    The modes are peeled off in order by one stacked rank-one split of all
+    k columns each (the rank-one case of the TT-SVD sweep); the product of
+    the top singular values rides on the first vector. For one or two modes
+    that is the best fit, its residual the split's tail. For three or more,
+    the package's ALS refinement polishes each nonzero column from there:
+    the start fits the column with that product, which is positive, and ALS
+    never lowers the fit, so it cannot collapse to zero; an exact rank-one
+    column stops after one sweep.
     """
     columns = np.asarray(columns, dtype=np.float64)
     sizes = [int(s) for s in mode_sizes]
@@ -106,52 +108,32 @@ def unflatten_rank_one(columns, mode_sizes):
             f"columns of length {columns.shape[0]} do not fill modes {sizes}"
         )
     k = columns.shape[1]
-    if len(sizes) == 1:
-        return [columns.copy()], np.zeros(k)
     # 1-D norms: an axis-wise norm sums in another order and moves last bits
     totals = np.array([np.linalg.norm(c) for c in columns.T])
     zero = totals == 0.0
-    if len(sizes) == 2:
-        u, s, vh = np.linalg.svd(columns.T.reshape(k, *sizes), full_matrices=False)
-        first, second = (u[:, :, 0] * s[:, :1]).T.copy(), vh[:, 0, :].T.copy()
-        first[:, zero] = second[:, zero] = 0.0
-        # tail singular values give the residual without cancellation
-        tails = np.array([np.linalg.norm(tail) for tail in s[:, 1:]])
-        return [first, second], tails / np.where(zero, 1.0, totals)
-    factors = [np.zeros((n, k)) for n in sizes]
+    vectors, scale, tail, rest = [], np.ones(k), np.zeros(k), columns
+    for n in sizes[:-1]:
+        left, top, rest, tail = _split_rank_one(rest.T.reshape(k, n, len(rest) // n))
+        vectors.append(left)
+        scale *= top
+    vectors.append(rest)
+    vectors[0] = vectors[0] * scale
+    factors = [np.ascontiguousarray(v) for v in vectors]
+    for factor in factors:
+        factor[:, zero] = 0.0
+    if len(sizes) < 3:
+        return factors, tail / np.where(zero, 1.0, totals)
     residuals = np.zeros(k)
     for i in np.flatnonzero(~zero):
         # a contiguous block: a strided one changes the ALS products' order
         block = np.ascontiguousarray(columns[:, i]).reshape(sizes)
-        vectors, residuals[i] = _rank_one_als(block, totals[i])
-        for factor, vector in zip(factors, vectors):
+        first, *others = _als_refine(block, [f[:, i : i + 1] for f in factors])
+        norms = [float(np.linalg.norm(f)) or 1.0 for f in others]
+        fitted = [first * math.prod(norms)] + [f / n for f, n in zip(others, norms)]
+        for factor, vector in zip(factors, fitted):
             factor[:, i] = vector[:, 0]
+        residuals[i] = np.linalg.norm(block - _cp_dense(fitted, np.ones(1)).data) / totals[i]
     return factors, residuals
-
-
-def _rank_one_als(block, total):
-    """The rank-one ALS fit of a nonzero block of three or more modes, as
-    (n_j, 1) columns, and its residual relative to ``total``."""
-    unfoldings = (np.moveaxis(block, j, 0).reshape(n, -1)
-                  for j, n in enumerate(block.shape))
-    start = [np.linalg.svd(m, full_matrices=False)[0][:, :1] for m in unfoldings]
-    scale = float(np.vdot(block, _cp_dense(start, np.ones(1)).data))
-    if scale == 0.0:
-        # Tied top singular vectors can contract the block to zero, a start
-        # ALS never leaves; start from the fibres through the largest entry.
-        peak = np.unravel_index(np.argmax(np.abs(block)), block.shape)
-        start = []
-        for j in range(block.ndim):
-            fibre = block[peak[:j] + (slice(None),) + peak[j + 1 :]][:, None]
-            start.append(fibre / np.linalg.norm(fibre))
-        scale = float(np.vdot(block, _cp_dense(start, np.ones(1)).data))
-    start[0] = start[0] * scale
-    fitted = _als_refine(block, start)
-    norms = [float(np.linalg.norm(f)) or 1.0 for f in fitted[1:]]
-    vectors = [fitted[0] * math.prod(norms)]
-    vectors += [f / norm for f, norm in zip(fitted[1:], norms)]
-    residual = np.linalg.norm(block - _cp_dense(vectors, np.ones(1)).data) / total
-    return vectors, residual
 
 
 def overcomplete_decompose(t, plan=None, config=None):

@@ -11,6 +11,7 @@ order-2 moment ``M``, decompose the now-orthogonal tensor, and map the
 components back through the transpose pseudoinverse of ``W``.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,11 @@ class OrthogonalDecomposition:
             raise PreconditionError("entries must be finite")
 
 
+def _symmetrize(arr):
+    """The mean of a cubic order-3 array over its six axis permutations."""
+    return sum(np.transpose(arr, axes) for axes in itertools.permutations(range(3))) / 6.0
+
+
 def _require_symmetric(t):
     if t.order != 3:
         raise PreconditionError("expected an order-3 tensor")
@@ -69,10 +75,7 @@ def _require_symmetric(t):
     if t.shape != (n, n, n):
         raise PreconditionError(f"expected a cubic tensor, got shape {t.shape}")
     arr = t.data
-    sym = np.zeros_like(arr)
-    for axes in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        sym += np.transpose(arr, axes)
-    sym /= 6.0
+    sym = _symmetrize(arr)
     scale = np.linalg.norm(arr.ravel())
     if np.linalg.norm((arr - sym).ravel()) > _SYMMETRY_RTOL * max(scale, 1e-300):
         raise PreconditionError("tensor is not symmetric within tolerance")

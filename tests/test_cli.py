@@ -249,6 +249,16 @@ class TestDecompose:
         assert report["deflation_residual"] < 1e-10
         assert report["max_error"] < 1e-10
 
+    def test_power_method_on_noisy_orthogonal_symmetric_synth(self, tmp_path):
+        _, synth_out = run(tmp_path / "s", "synth", "--shape", "6,6,6", "--rank", "3",
+                           "--model", "orthogonal-symmetric", "--noise", "1e-6")
+        code, out = run(tmp_path / "d", "decompose",
+                        "--input", str(synth_out / "tensor.tnsr"),
+                        "--method", "power", "--rank", "3",
+                        "--truth", str(synth_out / "truth.json"))
+        assert code == 0
+        assert read_json(out / "report.json")["max_error"] < 1e-5
+
     def test_power_requires_rank(self, tmp_path):
         _, synth_out = run(tmp_path / "s", "synth", "--shape", "4,4,4",
                            "--rank", "2", "--seed", "10")

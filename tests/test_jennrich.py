@@ -250,6 +250,37 @@ def _phase_aligned_real_loop(columns):
     return out, worst
 
 
+class TestSplit:
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    @pytest.mark.parametrize("shape, k, seed", [((8, 8, 8), 8, 34), ((9, 7, 5), 4, 35)])
+    def test_factors_and_weights_equal_a_stacked_svd_reference(
+        self, monkeypatch, shape, k, seed, noise
+    ):
+        # step 4 written out: the top singular triple of each row of
+        # pinv(U) T_(1) from one stacked SVD, for the U the draw found
+        t = synthesize(random_decomposition(shape, k, seed=seed))
+        rng = np.random.default_rng(seed)
+        t = DenseTensor(t.data + noise * rng.uniform(-1.0, 1.0, shape))
+        seen = []
+
+        def spy(m):
+            seen.append(np.array(m))
+            return pseudoinverse(m)
+
+        monkeypatch.setattr(jennrich, "pseudoinverse", spy)
+        found, report = jennrich_decompose(t, JennrichConfig(rank=k, seed=seed))
+        (u_mat,) = seen
+        n, m, p = shape
+        rows = (pseudoinverse(u_mat) @ t.data.reshape(n, m * p)).reshape(k, m, p)
+        v, sigma, w = np.linalg.svd(rows, full_matrices=False)
+        ref = CpDecomposition([u_mat, v[:, :, 0].T, w[:, 0, :].T], sigma[:, 0])
+        for f, g in zip(found.factors, ref.factors):
+            assert f.tobytes() == g.tobytes()
+        assert found.weights.tobytes() == ref.weights.tobytes()
+        tails = np.linalg.norm(sigma[:, 1:], axis=1) / sigma[:, 0]
+        assert report.max_split_residual == pytest.approx(np.max(tails), rel=1e-15)
+
+
 class TestPhaseAlignedReal:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_column_loop(self, seed):

@@ -157,6 +157,43 @@ class TestUnflattenRankOne:
         with pytest.raises(PreconditionError, match=r"\(N, k\) matrix"):
             unflatten_rank_one(np.ones(4), [2, 2])
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-6])
+    def test_two_mode_factors_equal_a_stacked_svd_reference(self, noise):
+        # the best rank-one fit of each (3, 4) block from one stacked SVD,
+        # the scale on the first vector
+        rng = np.random.default_rng(6)
+        columns = np.column_stack([
+            np.kron(rng.standard_normal(3), rng.standard_normal(4)) for _ in range(7)
+        ])
+        columns = columns + noise * rng.standard_normal(columns.shape)
+        factors, residuals = unflatten_rank_one(columns, [3, 4])
+        u, s, vh = np.linalg.svd(columns.T.reshape(7, 3, 4), full_matrices=False)
+        assert factors[0].tobytes() == (u[:, :, 0] * s[:, :1]).T.tobytes()
+        assert factors[1].tobytes() == vh[:, 0, :].T.tobytes()
+        tails = np.linalg.norm(s[:, 1:], axis=1) / np.linalg.norm(columns, axis=0)
+        assert residuals == pytest.approx(tails, rel=1e-15, abs=1e-300)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 2), (2, 3, 2, 3)])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_start_takes_one_stacked_svd_per_peeled_mode(self, monkeypatch, sizes, k):
+        rng = np.random.default_rng(7)
+        columns = np.column_stack([
+            _outer([rng.standard_normal(s) for s in sizes]).ravel() for _ in range(k)
+        ])
+        shapes = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        unflatten_rank_one(columns, sizes)
+        # the rest are the ALS sweeps' 1 x 1 Gram pseudoinverses
+        starts = [shape for shape in shapes if shape != (1, 1)]
+        expected = [(k, n, math.prod(sizes[j + 1 :])) for j, n in enumerate(sizes[:-1])]
+        assert starts == expected
+
     @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
     @pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-3, 1e-1])
     def test_matches_the_contraction_loop(self, sizes, noise):
@@ -189,9 +226,9 @@ class TestUnflattenRankOne:
         assert sweeps() == 1
 
     def test_collapsed_fit_stays_finite(self):
-        # e1(x)e2(x)e1 + e2(x)e1(x)e2: every unfolding's top singular vector
-        # ties at e1, which contracts the block to zero; the fit must still
-        # find one of the two terms, the best rank-one fit
+        # e1(x)e2(x)e1 + e2(x)e1(x)e2: every unfolding's singular values tie,
+        # so no unfolding singles out a term; the fit must still find one of
+        # the two terms, the best rank-one fit
         vecs, residual = _fit(_tied_block().ravel(), [2, 2, 2])
         assert all(np.all(np.isfinite(v)) for v in vecs)
         assert all(np.linalg.norm(v) > 0.5 for v in vecs)

@@ -93,3 +93,17 @@ def test_every_public_definition_has_a_reader_outside_the_unit_tests():
             if not pattern.search(text):
                 unread.append(name)
     assert not unread, f"named only by the unit tests: {sorted(unread)}"
+
+
+def test_rank_one_splits_go_through_the_one_kernel():
+    # Jennrich's step 4 and the unflatten split rank-one pieces only through
+    # matrix_ops._split_rank_one, so neither module calls an SVD itself
+    direct = []
+    for name in ("jennrich.py", "overcomplete.py"):
+        tree = ast.parse((_ROOT / "src" / "tensordec" / name).read_text())
+        direct += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "svd"
+        ]
+    assert direct == []
