@@ -23,7 +23,7 @@ from .tensor_core import DenseTensor
 _DEGENERATE_NORM = 1e-14
 _SYMMETRY_RTOL = 1e-8
 _WHITEN_RANK_RTOL = 1e-8
-# Per run: iterations allowed, and the step size that counts as converged.
+# Steps allowed per round, and the step size that counts as converged.
 _MAX_ITERS = 500
 _STEP_TOL = 1e-12
 # Independent runs per deflation round.
@@ -93,15 +93,16 @@ def deflate_decompose(t, k, config=None):
     """Recover k terms of a symmetric tensor by iterated deflation.
 
     Each round draws its 10 unit starts as one (n, 10) block of the call's
-    one ``(config.seed, TAG_POWER)`` stream and advances them together, one
-    contraction of all of them per step; each run stops on its own, when
-    its step falls below 1e-12, and is dropped when its contraction
-    vanishes or it has not converged after 500 steps. The converged run
-    with the largest ``|lambda|`` wins (the first on a tie); its term is
+    one ``(config.seed, TAG_POWER)`` stream and steps them together, one
+    contraction of all of them per step, until every run has settled: its
+    step is below 1e-12 or its contraction has vanished (norm below 1e-14),
+    or 500 steps have passed. A run is eligible when its last contraction
+    did not vanish and its last step is below 1e-12; the eligible run with
+    the largest ``|lambda|`` wins (the first on a tie), its term is
     subtracted and the next round begins. Returns ``(decomposition,
     residual_frobenius_norm)`` with terms sorted by ``|lambda|``
     descending; lambdas are reported nonnegative, the sign folding into
-    the vector. Raises DegeneracyError when a round has no converged run.
+    the vector. Raises DegeneracyError when a round has no eligible run.
     """
     cfg = config or PowerConfig()
     arr = _require_symmetric(t).copy()
@@ -110,52 +111,41 @@ def deflate_decompose(t, k, config=None):
     if k < 0 or k > n:
         raise PreconditionError(f"k must lie in [0, {n}], got {k}")
     rng = derive_rng(cfg.seed, TAG_POWER)
-    lambdas = []
-    vectors = []
+    lambdas = np.zeros(k)
+    vectors = np.zeros((n, k))
     for round_idx in range(k):
         z = rng.standard_normal((n, _RESTARTS))
         z /= np.linalg.norm(z, axis=0)
-        running = np.ones(_RESTARTS, dtype=bool)
-        converged = np.zeros(_RESTARTS, dtype=bool)
         for _ in range(_MAX_ITERS):
             u = _contract(arr, z)
             norms = np.linalg.norm(u, axis=0)
-            running &= norms >= _DEGENERATE_NORM
-            # the floor keeps dropped runs finite; they and the stopped
-            # runs keep their last iterate
+            # the floor keeps vanished runs finite
             z_next = u / np.maximum(norms, _DEGENERATE_NORM)
-            done = running & (np.linalg.norm(z_next - z, axis=0) < _STEP_TOL)
-            z = np.where(running, z_next, z)
-            converged |= done
-            running &= ~done
-            if not running.any():
+            steps = np.linalg.norm(z_next - z, axis=0)
+            z = z_next
+            if np.all((steps < _STEP_TOL) | (norms < _DEGENERATE_NORM)):
                 break
-        if not converged.any():
+        eligible = (steps < _STEP_TOL) & (norms >= _DEGENERATE_NORM)
+        if not eligible.any():
             raise DegeneracyError(
                 "no power iteration restart converged",
                 diagnostics={"round": round_idx, "restarts": _RESTARTS},
             )
         lams = np.einsum("ir,ir->r", z, _contract(arr, z))
-        best = int(np.argmax(np.where(converged, np.abs(lams), -1.0)))
+        best = int(np.argmax(np.where(eligible, np.abs(lams), -1.0)))
         lam, v = float(lams[best]), z[:, best]
         # a direct einsum, not tensor_core._cp_dense: at 16^3 it takes 15.5 us
         # against 36 us, and it runs once per deflation round
         arr -= lam * np.einsum("i,j,k->ijk", v, v, v)
-        lambdas.append(lam)
-        vectors.append(v)
+        # lam * v^(x3) == (-lam) * (-v)^(x3) at odd order: store every
+        # lambda nonnegative with its sign folded into the vector
+        sign = -1.0 if lam < 0 else 1.0
+        lambdas[round_idx] = sign * lam
+        vectors[:, round_idx] = sign * v
 
-    lambdas = np.array(lambdas) if lambdas else np.zeros(0)
-    vectors = np.column_stack(vectors) if vectors else np.zeros((n, 0))
-    order = np.argsort(-np.abs(lambdas), kind="stable")
-    lambdas = lambdas[order]
-    vectors = vectors[:, order]
-    # lam * v^(x3) == (-lam) * (-v)^(x3) at odd order, so report every
-    # lambda nonnegative and fold the sign into the vector
-    negative = lambdas < 0
-    vectors[:, negative] *= -1.0
-    lambdas[negative] *= -1.0
+    order = np.argsort(-lambdas, kind="stable")
     residual = float(np.linalg.norm(arr.ravel()))
-    return OrthogonalDecomposition(lambdas=lambdas, vectors=vectors), residual
+    return OrthogonalDecomposition(lambdas=lambdas[order], vectors=vectors[:, order]), residual
 
 
 def _whitening_maps(m, n, k):

@@ -143,10 +143,12 @@ def random_orthogonal_symmetric(n, k, seed=0):
 
 
 def gmm_orthogonal_params(n, k, norm=5.0, seed=0):
-    """Mixture with orthogonal means of a common norm."""
+    """Mixture with orthogonal means of a common positive, finite norm."""
     n, k = int(n), int(k)
     if not 1 <= k <= n:
         raise PreconditionError(f"orthogonal means need 1 <= k <= n, got k={k}, n={n}")
+    if not 0 < norm < np.inf:
+        raise PreconditionError(f"norm must be positive and finite, got {norm}")
     rng = derive_rng(seed, TAG_SYNTH, 0)
     return GmmParams(means=float(norm) * _orthonormal(rng, n, k))
 

@@ -421,6 +421,15 @@ class TestLearn:
         assert "1 <= k <= n, got k=0, n=8" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("norm", ["0", "-5", "nan"])
+    def test_gmm_unusable_norm_exits_4(self, tmp_path, capsys, norm):
+        # a zero norm makes every mean zero, a negative one flips the frame
+        code, out = run(tmp_path, "learn", "gmm", "--k", "2", "--n", "4",
+                        "--samples", "100", "--norm", norm)
+        assert code == 4
+        assert f"norm must be positive and finite, got {float(norm)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hmm_nan_noise_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(tmp_path, "learn", "hmm", "--k", "2", "--n", "3",

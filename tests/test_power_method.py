@@ -236,6 +236,46 @@ class TestLockstepRestarts:
         assert len(calls) < sum(steps) / 4
 
 
+    def test_vanished_restarts_never_win(self, monkeypatch):
+        # half the starts lie in span(e_2..e_5), orthogonal to both terms of
+        # a diagonal tensor, so their contraction is exactly zero in every
+        # round; the round must end when the other half converge, with one
+        # of those as its winner
+        arr = np.zeros((6, 6, 6))
+        arr[0, 0, 0], arr[1, 1, 1] = 3.0, 2.0
+        t = DenseTensor(arr)
+        block = np.random.default_rng(27).standard_normal((6, 10))
+        block[:2, ::2] = 0.0
+
+        class FixedStarts:
+            def standard_normal(self, shape):
+                return block.copy()
+
+        def fixed(*key):
+            return FixedStarts()
+
+        calls = []
+        contract = power_method._contract
+
+        def counting(arr, z):
+            calls.append(z.shape[1])
+            return contract(arr, z)
+
+        monkeypatch.setattr(power_method, "derive_rng", fixed)
+        monkeypatch.setattr(power_method, "_contract", counting)
+        # the reference draws its starts through this module's name
+        monkeypatch.setitem(globals(), "derive_rng", fixed)
+        od, residual = deflate_decompose(t, 2)
+        lambdas, vectors, ref_residual, round_steps = _reference_decompose(t, 2)
+        assert all(steps[::2] == [1] * 5 for steps in round_steps)
+        assert len(calls) == sum(max(steps) + 1 for steps in round_steps)
+        assert np.allclose(np.linalg.norm(od.vectors, axis=0), 1.0, atol=1e-12)
+        assert np.max(np.abs(od.lambdas - lambdas)) <= 1e-12
+        assert np.max(np.abs(od.vectors - vectors)) <= 1e-12
+        assert abs(residual - ref_residual) <= 1e-12
+        assert np.allclose(od.lambdas, [3.0, 2.0], atol=1e-12)
+
+
 class TestOneStreamPerCall:
     """All restarts of a call come from one generator."""
 
