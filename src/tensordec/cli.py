@@ -90,11 +90,16 @@ def _parse_groups(text, order):
     groups = []
     for part in parts:
         try:
-            modes = tuple(int(x) - 1 for x in part.split(","))
+            modes = tuple(int(x) for x in part.split(","))
         except ValueError as exc:
             raise PreconditionError(f"bad group {part!r}: {exc}") from exc
-        groups.append(modes)
-    return FlatteningPlan(order=order, groups=tuple(groups))
+        if min(modes) < 1:
+            raise PreconditionError(f"--groups counts modes from 1, got {min(modes)}")
+        groups.append(tuple(m - 1 for m in modes))
+    try:
+        return FlatteningPlan(order=order, groups=tuple(groups))
+    except PreconditionError:
+        raise PreconditionError(f"--groups {text} does not partition modes 1 to {order}") from None
 
 
 def _resolve_seed(args, parser):

@@ -3,7 +3,7 @@
 An order-l tensor whose rank exceeds its mode sizes can still be handled
 by fusing modes: partition the modes into three groups, flatten to order
 3, decompose there, and split each grouped factor column back into its
-per-mode parts with a best rank-one fit. Rank-one terms survive the fusion
+per-mode parts with a rank-one fit. Rank-one terms survive the fusion
 because a grouped factor column of a rank-one term is exactly the
 Khatri-Rao (flattened outer) product of its per-mode factors.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import PreconditionError
 from .jennrich import jennrich_decompose
 from .matrix_ops import _split_rank_one
-from .tensor_core import CpDecomposition, _als_refine, _cp_dense, flatten_to_order3
+from .tensor_core import CpDecomposition, _als_refine, flatten_to_order3
 
 SUSPECT_RESIDUAL = 1e-3
 
@@ -77,8 +77,8 @@ def default_plan(shape):
 
 
 def unflatten_rank_one(columns, mode_sizes):
-    """Best rank-one fit of each column of a grouped factor matrix, split
-    over the given modes.
+    """Rank-one split of each column of a grouped factor matrix over the
+    given modes.
 
     ``columns`` is (N, k), each column a flattened tensor of shape
     ``mode_sizes``. Returns ``(factors, residuals)``: column i of the
@@ -91,11 +91,9 @@ def unflatten_rank_one(columns, mode_sizes):
     The modes are peeled off in order by one stacked rank-one split of all
     k columns each (the rank-one case of the TT-SVD sweep); the product of
     the top singular values rides on the first vector. For one or two modes
-    that is the best fit, its residual the split's tail. For three or more,
-    the package's ALS refinement polishes each nonzero column from there:
-    the start fits the column with that product, which is positive, and ALS
-    never lowers the fit, so it cannot collapse to zero; an exact rank-one
-    column stops after one sweep.
+    that is the best fit. The peels' tails are mutually orthogonal, so the
+    misfit is ``sqrt(sum_j (s_1...s_{j-1} tail_j)^2)``, with ``s_j`` the
+    top singular value and ``tail_j`` the norm of the rest of peel j.
     """
     columns = np.asarray(columns, dtype=np.float64)
     sizes = [int(s) for s in mode_sizes]
@@ -111,29 +109,18 @@ def unflatten_rank_one(columns, mode_sizes):
     # 1-D norms: an axis-wise norm sums in another order and moves last bits
     totals = np.array([np.linalg.norm(c) for c in columns.T])
     zero = totals == 0.0
-    vectors, scale, tail, rest = [], np.ones(k), np.zeros(k), columns
+    vectors, scale, misfit, rest = [], np.ones(k), np.zeros(k), columns
     for n in sizes[:-1]:
         left, top, rest, tail = _split_rank_one(rest.T.reshape(k, n, len(rest) // n))
         vectors.append(left)
+        misfit = np.hypot(misfit, scale * tail)
         scale *= top
     vectors.append(rest)
     vectors[0] = vectors[0] * scale
     factors = [np.ascontiguousarray(v) for v in vectors]
     for factor in factors:
         factor[:, zero] = 0.0
-    if len(sizes) < 3:
-        return factors, tail / np.where(zero, 1.0, totals)
-    residuals = np.zeros(k)
-    for i in np.flatnonzero(~zero):
-        # a contiguous block: a strided one changes the ALS products' order
-        block = np.ascontiguousarray(columns[:, i]).reshape(sizes)
-        first, *others = _als_refine(block, [f[:, i : i + 1] for f in factors])
-        norms = [float(np.linalg.norm(f)) or 1.0 for f in others]
-        fitted = [first * math.prod(norms)] + [f / n for f, n in zip(others, norms)]
-        for factor, vector in zip(factors, fitted):
-            factor[:, i] = vector[:, 0]
-        residuals[i] = np.linalg.norm(block - _cp_dense(fitted, np.ones(1)).data) / totals[i]
-    return factors, residuals
+    return factors, misfit / np.where(zero, 1.0, totals)
 
 
 def overcomplete_decompose(t, plan=None, config=None):
@@ -143,8 +130,11 @@ def overcomplete_decompose(t, plan=None, config=None):
     the order-3 result, then splits each group's factor matrix back into
     per-mode factors. Per-term unflattening residuals (the largest over the
     groups) land in the report; terms with residual above 1e-3 are listed
-    as suspect. With the identity plan on an order-3 tensor this is exactly
-    the order-3 decomposition.
+    as suspect. When a group has three or more modes, where the peel is not
+    the best rank-one fit, the package's ALS refinement then polishes all
+    terms at once on ``t`` itself; the residuals and suspect terms describe
+    the split before that polish. With the identity plan on an order-3
+    tensor this is exactly the order-3 decomposition.
     """
     if t.order < 3:
         raise PreconditionError("overcomplete_decompose expects order >= 3")
@@ -166,7 +156,11 @@ def overcomplete_decompose(t, plan=None, config=None):
             factors[mode] = part
         group_residuals.append(residuals)
     residuals = np.max(group_residuals, axis=0).tolist()
-    decomposition = CpDecomposition(factors, d3.weights)
+    weights = d3.weights
+    if d3.rank and max(map(len, plan.groups)) >= 3:
+        factors = _als_refine(t.data, [factors[0] * weights, *factors[1:]])
+        weights = np.ones(d3.rank)
+    decomposition = CpDecomposition(factors, weights)
     report.unflatten_residuals = residuals
     report.suspect_terms = [
         i for i, r in enumerate(residuals) if r > SUSPECT_RESIDUAL

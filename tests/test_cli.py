@@ -197,6 +197,47 @@ class TestDecompose:
         assert found.order == 5
         assert read_json(out / "report.json")["max_error"] < 1e-5
 
+    def test_order7_noisy_flatten_is_polished(self, tmp_path):
+        # the split of each 3-mode group alone leaves a worst term of 1.8e-3
+        _, synth_out = run(tmp_path / "s", "synth", "--shape", "3,3,3,3,3,3,3",
+                           "--rank", "8", "--model", "smoothed", "--noise", "1e-6",
+                           "--seed", "18")
+        code, out = run(
+            tmp_path / "d", "decompose",
+            "--input", str(synth_out / "tensor.tnsr"),
+            "--method", "flatten-jennrich", "--rank", "8", "--seed", "18",
+            "--truth", str(synth_out / "truth.json"),
+        )
+        assert code == 0
+        assert read_json(out / "report.json")["max_error_relative"] <= 1e-5
+
+    def test_flatten_at_rank_zero_writes_no_terms(self, tmp_path):
+        _, synth_out = run(tmp_path / "s", "synth", "--shape", "3,3,3,3,3,3,3",
+                           "--rank", "8", "--model", "smoothed", "--seed", "2")
+        code, out = run(
+            tmp_path / "d", "decompose",
+            "--input", str(synth_out / "tensor.tnsr"),
+            "--method", "flatten-jennrich", "--rank", "0",
+        )
+        assert code == 0
+        assert read_decomposition(str(out / "decomposition.json")).rank == 0
+
+    @pytest.mark.parametrize("groups, message", [
+        ("0,2/3,4/5", "--groups counts modes from 1, got 0"),
+        ("1,2/3,4/6", "--groups 1,2/3,4/6 does not partition modes 1 to 5"),
+        ("1,2/3,4/4", "--groups 1,2/3,4/4 does not partition modes 1 to 5"),
+    ])
+    def test_groups_errors_count_modes_from_one(self, tmp_path, capsys, groups, message):
+        _, synth_out = run(tmp_path / "s", "synth", "--shape", "4,4,4,4,4", "--rank", "3")
+        code, out = run(
+            tmp_path / "d", "decompose",
+            "--input", str(synth_out / "tensor.tnsr"),
+            "--method", "flatten-jennrich", "--groups", groups,
+        )
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_power_method_with_whitening(self, tmp_path):
         from tensordec import gmm_orthogonal_params, gmm_statistic_exact
 

@@ -17,7 +17,7 @@ from tensordec import (
     smoothed_decomposition,
     synthesize,
 )
-from tensordec import tensor_core
+from tensordec import overcomplete, tensor_core
 from tensordec.overcomplete import default_plan, unflatten_rank_one
 from tensordec.tensor_core import flatten_to_order3
 
@@ -25,53 +25,6 @@ from tensordec.tensor_core import flatten_to_order3
 def _outer(vectors):
     """The rank-one array ``v1 (x) v2 (x) ...``."""
     return functools.reduce(np.multiply.outer, vectors)
-
-
-def _alternating_rank_one(block, max_iters=100, tol=1e-13):
-    """The rank-one fit the shared ALS replaced: normalized contractions from
-    the unfoldings' top singular vectors, kept here as the reference."""
-    g = block.ndim
-    letters = "abcdefghijklmnopqrstuvwxyz"[:g]
-    xs = []
-    for j in range(g):
-        unfold = np.moveaxis(block, j, 0).reshape(block.shape[j], -1)
-        u, _, _ = np.linalg.svd(unfold, full_matrices=False)
-        xs.append(u[:, 0])
-    for _ in range(max_iters):
-        change = 0.0
-        for j in range(g):
-            spec = (
-                letters
-                + ","
-                + ",".join(letters[i] for i in range(g) if i != j)
-                + "->"
-                + letters[j]
-            )
-            y = np.einsum(spec, block, *[xs[i] for i in range(g) if i != j])
-            y = y / np.linalg.norm(y)
-            if y @ xs[j] < 0:
-                y = -y
-            change = max(change, float(np.linalg.norm(y - xs[j])))
-            xs[j] = y
-        if change < tol:
-            break
-    spec = letters + "," + ",".join(letters) + "->"
-    xs[0] = xs[0] * float(np.einsum(spec, block, *xs))
-    return xs
-
-
-def _count_sweeps(monkeypatch, order):
-    """Calls to the ALS pseudoinverse, as a list whose length over ``order``
-    is the number of sweeps run."""
-    calls = []
-    original = tensor_core.pseudoinverse
-
-    def counted(m):
-        calls.append(1)
-        return original(m)
-
-    monkeypatch.setattr(tensor_core, "pseudoinverse", counted)
-    return lambda: len(calls) // order
 
 
 class TestFlatteningPlan:
@@ -189,14 +142,14 @@ class TestUnflattenRankOne:
 
         monkeypatch.setattr(np.linalg, "svd", counted)
         unflatten_rank_one(columns, sizes)
-        # the rest are the ALS sweeps' 1 x 1 Gram pseudoinverses
-        starts = [shape for shape in shapes if shape != (1, 1)]
         expected = [(k, n, math.prod(sizes[j + 1 :])) for j, n in enumerate(sizes[:-1])]
-        assert starts == expected
+        assert shapes == expected
 
-    @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
+    @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3), (2, 2, 3, 2, 2)])
     @pytest.mark.parametrize("noise", [0.0, 1e-6, 1e-3, 1e-1])
-    def test_matches_the_contraction_loop(self, sizes, noise):
+    def test_residual_is_the_dense_residual_of_the_factors(self, sizes, noise):
+        # the peels' tails are orthogonal, so their weighted sum of squares
+        # is the misfit of the returned vectors
         rng = np.random.default_rng(len(sizes))
         blocks = []
         for _ in range(10):
@@ -208,22 +161,30 @@ class TestUnflattenRankOne:
         )
         for i, block in enumerate(blocks):
             vecs = [f[:, i] for f in factors]
-            ref = _alternating_rank_one(block)
-            fit, ref_fit = _outer(vecs), _outer(ref)
-            assert np.linalg.norm(fit - ref_fit) <= 1e-12 * np.linalg.norm(block)
-            ref_residual = np.linalg.norm(block - ref_fit) / np.linalg.norm(block)
-            assert residuals[i] == pytest.approx(ref_residual, rel=1e-9, abs=1e-14)
+            dense = np.linalg.norm(block - _outer(vecs)) / np.linalg.norm(block)
+            assert residuals[i] == pytest.approx(dense, rel=1e-9, abs=1e-14)
             # the scale rides on the first vector, the others are unit
             assert np.allclose([np.linalg.norm(v) for v in vecs[1:]], 1.0, atol=1e-14)
 
-    @pytest.mark.parametrize("sizes", [(3, 2, 4), (2, 3, 2, 3)])
-    def test_exact_block_takes_one_sweep(self, monkeypatch, sizes):
-        rng = np.random.default_rng(3)
-        block = _outer([rng.standard_normal(s) for s in sizes])
-        sweeps = _count_sweeps(monkeypatch, len(sizes))
-        _, residual = _fit(block.ravel(), sizes)
-        assert residual <= 1e-14
-        assert sweeps() == 1
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_three_mode_factors_equal_a_stacked_svd_reference(self, noise):
+        # two peels: the (3, 8) blocks, then the (2, 4) blocks of their top
+        # right vectors; both scales on the first vector
+        rng = np.random.default_rng(8)
+        columns = np.column_stack([
+            _outer([rng.standard_normal(s) for s in (3, 2, 4)]).ravel() for _ in range(5)
+        ])
+        columns = columns + noise * rng.standard_normal(columns.shape)
+        factors, residuals = unflatten_rank_one(columns, [3, 2, 4])
+        u1, s1, vh1 = np.linalg.svd(columns.T.reshape(5, 3, 8), full_matrices=False)
+        u2, s2, vh2 = np.linalg.svd(vh1[:, 0, :].reshape(5, 2, 4), full_matrices=False)
+        assert factors[0].tobytes() == (u1[:, :, 0].T * (s1[:, 0] * s2[:, 0])).tobytes()
+        assert factors[1].tobytes() == u2[:, :, 0].T.tobytes()
+        assert factors[2].tobytes() == vh2[:, 0, :].T.tobytes()
+        tails = np.hypot(np.linalg.norm(s1[:, 1:], axis=1),
+                         s1[:, 0] * np.linalg.norm(s2[:, 1:], axis=1))
+        assert residuals == pytest.approx(tails / np.linalg.norm(columns, axis=0),
+                                          rel=1e-15, abs=1e-300)
 
     def test_collapsed_fit_stays_finite(self):
         # e1(x)e2(x)e1 + e2(x)e1(x)e2: every unfolding's singular values tie,
@@ -233,16 +194,6 @@ class TestUnflattenRankOne:
         assert all(np.all(np.isfinite(v)) for v in vecs)
         assert all(np.linalg.norm(v) > 0.5 for v in vecs)
         assert residual == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-    def test_noisy_block_sweeps_until_settled(self, monkeypatch):
-        # the start's scaled first vector is a separate estimate from its
-        # first update, so the stop test only fires once the fit settles
-        rng = np.random.default_rng(4)
-        block = _outer([rng.standard_normal(s) for s in (3, 3, 3)])
-        block = block + 1e-2 * rng.standard_normal((3, 3, 3))
-        sweeps = _count_sweeps(monkeypatch, 3)
-        _fit(block.ravel(), [3, 3, 3])
-        assert 1 < sweeps() < tensor_core._POLISH_SWEEPS
 
     @pytest.mark.parametrize("sizes", [(6,), (3, 2), (2, 2, 2), (2, 3, 2, 3)])
     def test_stacked_columns_equal_single_column_calls_bitwise(self, sizes):
@@ -333,6 +284,52 @@ class TestOvercompleteDecompose:
         assert match_terms(found, truth).max_error < 1e-10
         assert report.suspect_terms == []
         assert max(report.unflatten_residuals) < 1e-10
+
+    def test_exact_order7_takes_one_polish_sweep(self, monkeypatch):
+        # one sweep of the whole-tensor polish inverts one Gram product per mode
+        truth = smoothed_decomposition((3,) * 7, 8, rho=0.5, seed=1)
+        calls = []
+        original = tensor_core.pseudoinverse
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return original(m)
+
+        monkeypatch.setattr(tensor_core, "pseudoinverse", counted)
+        found, _ = overcomplete_decompose(synthesize(truth))
+        assert calls == [(8, 8)] * 7
+        assert match_terms(found, truth).max_error < 1e-10
+
+    @pytest.mark.parametrize("groups, polishes", [
+        (((0, 1), (2, 3), (4,)), 0),
+        (((0,), (1, 2), (3, 4)), 0),
+        (((0, 1, 2), (3,), (4,)), 1),
+    ])
+    def test_only_a_group_of_three_modes_is_polished(self, monkeypatch, groups, polishes):
+        truth = smoothed_decomposition((4,) * 5, 4, rho=0.5, seed=10)
+        calls = []
+        original = overcomplete._als_refine
+
+        def counted(data, factors):
+            calls.append(data.shape)
+            return original(data, factors)
+
+        monkeypatch.setattr(overcomplete, "_als_refine", counted)
+        plan = FlatteningPlan(order=5, groups=groups)
+        found, _ = overcomplete_decompose(synthesize(truth), plan=plan)
+        assert calls == [(4,) * 5] * polishes
+        assert match_terms(found, truth).max_error < 1e-8
+
+    def test_zero_tensor_gives_no_terms(self):
+        found, report = overcomplete_decompose(DenseTensor(np.zeros((3,) * 7)))
+        assert found.rank == 0 and found.shape == (3,) * 7
+        assert report.unflatten_residuals == [] and report.suspect_terms == []
+
+    def test_rank_zero_gives_no_terms(self):
+        t = synthesize(smoothed_decomposition((3,) * 7, 8, rho=0.5, seed=2))
+        found, report = overcomplete_decompose(t, config=JennrichConfig(rank=0))
+        assert found.rank == 0 and found.shape == (3,) * 7
+        assert report.unflatten_residuals == []
 
     def test_term_residual_is_its_worst_group(self):
         # noise makes every group's fit residual nonzero, so the worst group

@@ -107,3 +107,23 @@ def test_rank_one_splits_go_through_the_one_kernel():
             if isinstance(node, ast.Attribute) and node.attr == "svd"
         ]
     assert direct == []
+
+
+def test_overcomplete_polishes_once_outside_the_unflatten():
+    # the unflatten is the peel alone; the one ALS polish runs on the whole
+    # tensor in overcomplete_decompose
+    tree = ast.parse((_ROOT / "src" / "tensordec" / "overcomplete.py").read_text())
+    unflatten = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "unflatten_rank_one"
+    )
+    called = {
+        node.func.id for node in ast.walk(unflatten)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert not called & {"_als_refine", "_cp_dense"}
+    named = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "_als_refine"
+    ]
+    assert len(named) == 1
