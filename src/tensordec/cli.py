@@ -302,27 +302,27 @@ def cmd_learn_hmm(args, seed, mapper):
     return outputs, []
 
 
-def cmd_lab_kr_sigma(args, seed, mapper):
-    result = kr_sigma_experiment(
-        args.n, args.k, args.order, args.rho, args.trials,
-        base=args.base, seed=seed, mapper=mapper,
-    )
+def _lab_outputs(result):
+    """A lab experiment's per-trial values and the summary of their tail."""
     return {
         "trials.csv": _trials_csv(result.values),
         "summary.json": _json_bytes(result.summary()),
     }, []
+
+
+def cmd_lab_kr_sigma(args, seed, mapper):
+    return _lab_outputs(kr_sigma_experiment(
+        args.n, args.k, args.order, args.rho, args.trials,
+        base=args.base, seed=seed, mapper=mapper,
+    ))
 
 
 def cmd_lab_projection(args, seed, mapper):
-    result = projection_experiment(
+    return _lab_outputs(projection_experiment(
         args.n, args.order, args.delta, args.rho, args.trials,
         subspace=args.subspace, base_point=args.base_point,
         seed=seed, mapper=mapper,
-    )
-    return {
-        "trials.csv": _trials_csv(result.values),
-        "summary.json": _json_bytes(result.summary()),
-    }, []
+    ))
 
 
 def cmd_lab_pivot(args, seed, mapper):

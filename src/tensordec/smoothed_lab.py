@@ -14,7 +14,9 @@ pipeline relies on:
   round and zeroes it out before recursing.
 
 Experiments draw one stream per trial from counter-derived seeds, so a
-thread pool over blocks of trials cannot change any number.
+thread pool over blocks of trials cannot change any number. Each block is
+one stacked call, and both experiments return a ``TrialResult``: the
+per-trial values and one summary of their lower tail.
 """
 
 import functools
@@ -46,15 +48,21 @@ def perturb_matrix(base, rho, rng):
     return base + rng.normal(0.0, rho / np.sqrt(n), base.shape)
 
 
-def _check_rho(rho, order):
-    """PreconditionError unless rho is positive and finite and ``rho**order``,
-    the scale of the summaries' thresholds, fits in float64."""
+def _check_rho(rho, order, n=None):
+    """PreconditionError unless rho is positive and finite and ``rho**order``
+    fits in float64. Given n, also unless the lab's smallest threshold scale,
+    ``rho**order / n**order``, is at least the least normal float64: below
+    it the trials underflow to 0 and the summary's fractions mean nothing."""
     if not 0 < rho < np.inf:
         raise PreconditionError(f"rho must be positive and finite, got {rho}")
     try:
-        rho**order
+        power = rho**order
     except OverflowError:
         raise PreconditionError(f"rho^order overflows: rho={rho}, order={order}") from None
+    if n is not None and power / n**order < np.finfo(np.float64).tiny:
+        raise PreconditionError(
+            f"rho^order / n^order underflows float64: rho={rho}, n={n}, order={order}"
+        )
 
 
 def _check_budget(entries, what):
@@ -86,65 +94,51 @@ def rotation_pair_basis(n):
 def _trial_values(draw, evaluate, trials, seed, mapper, stack=_TRIAL_BLOCK):
     """Trial t < trials turns derived stream t + 1 (stream 0 is the set-up's)
     into its input ``draw(rng)``; ``evaluate`` maps a stack of inputs to their
-    values in one call. Blocks of _TRIAL_BLOCK trials go to ``mapper``, and
-    each stacks at most ``stack`` inputs per call. Raises PreconditionError
-    when a trial overflows to a non-finite value."""
-    def fill(block, rows):
-        first = block * _TRIAL_BLOCK + 1
+    values in one call. Blocks of min(_TRIAL_BLOCK, stack) trials go to
+    ``mapper``, and each is one stacked call. Raises PreconditionError when a
+    trial overflows to a non-finite value."""
+    block = min(_TRIAL_BLOCK, stack)
+
+    def fill(index, rows):
+        first = index * block + 1
         # errstate is per thread; the finiteness check below reports overflow
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(rows), stack):
-                part = rows[start : start + stack]
-                part[:] = evaluate(np.stack([
-                    draw(derive_rng(seed, TAG_LAB, first + start + i))
-                    for i in range(len(part))
-                ]))
+            rows[:] = evaluate(np.stack([
+                draw(derive_rng(seed, TAG_LAB, first + i)) for i in range(len(rows))
+            ]))
 
-    values = fill_blocks(np.empty(trials), _TRIAL_BLOCK, fill, mapper)
+    values = fill_blocks(np.empty(trials), block, fill, mapper)
     if not np.all(np.isfinite(values)):
         raise PreconditionError("a trial value overflows float64; lower rho or delta")
     return values
 
 
-def _tail_summary(values):
-    """Trial count, the five quantiles, and the c grid of the lower-tail fractions."""
-    q = np.quantile(values, [0.01, 0.1, 0.5, 0.9, 0.99])
-    return {
-        "trials": int(values.size),
-        "quantiles": {"q01": q[0], "q10": q[1], "q50": q[2], "q90": q[3], "q99": q[4]},
-        "c_grid": list(_C_GRID),
-    }
-
-
-def _fractions_below(values, scale):
-    """Share of the trial values below c * scale, for each c of the grid."""
-    return [float(np.mean(values < c * scale)) for c in _C_GRID]
-
-
 @dataclass
-class KrSigmaResult:
-    """Per-trial least singular values of the perturbed Khatri-Rao chain."""
+class TrialResult:
+    """Per-trial values of a lab experiment.
 
-    n: int
-    k: int
-    order: int
-    rho: float
-    delta: float
+    ``summary()`` echoes ``params``, then gives the trial count, five
+    quantiles and the c grid, and for each ``(key, fractions_key, scale)``
+    of ``scales`` the scale and the share of values below c * scale, per c
+    of the grid. It reads ``values`` afresh on each call.
+    """
+
+    params: dict
+    scales: tuple
     values: np.ndarray
     unperturbed_sigma: float | None = None
 
     def summary(self):
-        scale = self.rho**self.order / self.n**self.order
+        q = np.quantile(self.values, [0.01, 0.1, 0.5, 0.9, 0.99])
         out = {
-            "n": self.n,
-            "k": self.k,
-            "order": self.order,
-            "rho": self.rho,
-            "delta": self.delta,
-            **_tail_summary(self.values),
-            "threshold_scale": scale,
-            "fraction_below": _fractions_below(self.values, scale),
+            **self.params,
+            "trials": int(self.values.size),
+            "quantiles": {"q01": q[0], "q10": q[1], "q50": q[2], "q90": q[3], "q99": q[4]},
+            "c_grid": list(_C_GRID),
         }
+        for key, fractions_key, scale in self.scales:
+            out[key] = scale
+            out[fractions_key] = [float(np.mean(self.values < c * scale)) for c in _C_GRID]
         if self.unperturbed_sigma is not None:
             out["unperturbed_sigma"] = self.unperturbed_sigma
         return out
@@ -174,7 +168,7 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         )
     _check_budget(n**order * k, "a Khatri-Rao chain (n^order * k)")
     rho = float(rho)
-    _check_rho(rho, order)
+    _check_rho(rho, order, n)
 
     def sigma_k(chains):
         return np.linalg.svd(chains, compute_uv=False)[:, k - 1]
@@ -199,38 +193,12 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     # one stacked SVD holds at most the element budget, and at least one chain
     stack = max(1, _ELEMENT_BUDGET // (n**order * k))
     values = _trial_values(draw, sigma_k, trials, seed, mapper, stack)
-    return KrSigmaResult(
-        n=n, k=k, order=order, rho=rho, delta=1.0 - k / n**order, values=values,
+    return TrialResult(
+        params={"n": n, "k": k, "order": order, "rho": rho, "delta": 1.0 - k / n**order},
+        scales=(("threshold_scale", "fraction_below", rho**order / n**order),),
+        values=values,
         unperturbed_sigma=unperturbed,
     )
-
-
-@dataclass
-class ProjectionResult:
-    """Per-trial projection norms of a perturbed rank-one tensor."""
-
-    n: int
-    order: int
-    delta: float
-    rho: float
-    subspace_dim: int
-    values: np.ndarray
-
-    def summary(self):
-        dim_scale = self.rho**self.order / self.n**self.order
-        sqrt_scale = self.rho**self.order / self.n ** (self.order / 2.0)
-        return {
-            "n": self.n,
-            "order": self.order,
-            "delta": self.delta,
-            "rho": self.rho,
-            "subspace_dim": self.subspace_dim,
-            **_tail_summary(self.values),
-            "dim_scale": dim_scale,
-            "fraction_below_dim_scale": _fractions_below(self.values, dim_scale),
-            "sqrt_scale": sqrt_scale,
-            "fraction_below_sqrt_scale": _fractions_below(self.values, sqrt_scale),
-        }
 
 
 def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
@@ -252,7 +220,7 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         raise PreconditionError("n and trials must be positive")
     rho = float(rho)
     delta = float(delta)
-    _check_rho(rho, order)
+    _check_rho(rho, order, n)
     ambient = n**order
     if not np.isfinite(delta * ambient):
         raise PreconditionError(f"delta * n^order must be finite, got {delta} * {ambient}")
@@ -287,8 +255,13 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         return np.linalg.norm(flats @ basis, axis=1)
 
     values = _trial_values(draw, projection_norms, trials, seed, mapper)
-    return ProjectionResult(
-        n=n, order=order, delta=delta, rho=rho, subspace_dim=dim, values=values
+    return TrialResult(
+        params={"n": n, "order": order, "delta": delta, "rho": rho, "subspace_dim": dim},
+        scales=(
+            ("dim_scale", "fraction_below_dim_scale", rho**order / n**order),
+            ("sqrt_scale", "fraction_below_sqrt_scale", rho**order / n ** (order / 2.0)),
+        ),
+        values=values,
     )
 
 

@@ -320,11 +320,12 @@ def read_tnsr(path):
         raise FormatError(f"{path}: header must carry 'order' and 'shape'")
     order = header["order"]
     shape = header["shape"]
+    # type(...) is int: JSON true and false are bools, and bool subclasses int
     if (
-        not isinstance(order, int)
+        type(order) is not int
         or not isinstance(shape, list)
         or len(shape) != order
-        or not all(isinstance(s, int) and s >= 1 for s in shape)
+        or not all(type(s) is int and s >= 1 for s in shape)
     ):
         raise FormatError(f"{path}: inconsistent order/shape in header")
     count = math.prod(shape)

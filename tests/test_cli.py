@@ -96,6 +96,14 @@ class TestSynth:
         assert "rho" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_rho_runs(self, tmp_path):
+        # the lab's threshold-scale floor is not synth's: a tiny rho only
+        # leaves the random unit columns unperturbed
+        code, out = run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "3",
+                        "--model", "smoothed", "--rho", "1e-320")
+        assert code == 0
+        assert read_decomposition(str(out / "truth.json")).rank == 3
+
     def test_negative_noise_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(tmp_path, "synth", "--shape", "4,4,4", "--rank", "2",
@@ -329,6 +337,15 @@ class TestDecompose:
         assert code == 2
         assert not out.exists()
 
+    def test_boolean_shape_entry_exit_code(self, tmp_path, capsys):
+        # JSON true is a bool, and bool passes for an int unless excluded
+        flag = tmp_path / "bool.tnsr"
+        flag.write_bytes(b'{"order": 1, "shape": [true]}\n' + b"\x00" * 8)
+        code, out = run(tmp_path, "decompose", "--input", str(flag))
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_corrupt_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.tnsr"
         bad.write_bytes(b"not a tensor at all")
@@ -384,6 +401,20 @@ class TestEval:
                         "--tensor", str(small / "tensor.tnsr"))
         assert code == 4
         assert "--tensor" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", [b'{"order": 1, "shape": [true]}',
+                                        b'{"order": true, "shape": [1]}'],
+                             ids=["shape", "order"])
+    def test_boolean_tensor_header_exits_2(self, tmp_path, capsys, header):
+        truth = tmp_path / "truth.json"
+        one_term = CpDecomposition([np.ones((1, 1))], [1.0])
+        truth.write_text(json.dumps(decomposition_to_dict(one_term)))
+        (tmp_path / "bool.tnsr").write_bytes(header + b"\n" + b"\x00" * 8)
+        code, out = run(tmp_path, "eval", "--found", str(truth), "--truth", str(truth),
+                        "--tensor", str(tmp_path / "bool.tnsr"))
+        assert code == 2
+        assert "inconsistent order/shape" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -537,6 +568,28 @@ class TestLab:
         code, out = run(tmp_path, "lab", *argv, "--trials", "3")
         assert code == 4
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kr-sigma", "--n", "4", "--k", "2", "--l", "2", "--rho", "1e-170"],
+            ["projection", "--n", "4", "--l", "1", "--delta", "0.5", "--rho", "1e-320"],
+        ],
+        ids=["kr-sigma", "projection"],
+    )
+    def test_underflowing_threshold_scale_exits_4(self, tmp_path, capsys, argv):
+        # rho^l / n^l below the least normal float64: the trials would all
+        # read 0 against a threshold that means nothing
+        code, out = run(tmp_path, "lab", *argv, "--trials", "3")
+        assert code == 4
+        assert "underflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_normal_threshold_scale_runs(self, tmp_path):
+        code, out = run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "2", "--l", "2",
+                        "--rho", "1e-150", "--trials", "3")
+        assert code == 0
+        assert read_json(out / "summary.json")["threshold_scale"] == pytest.approx(6.25e-302)
 
     def test_overflowing_trials_exit_4(self, tmp_path):
         # rho^2 fits in float64, but the perturbed rank-one tensors do not;

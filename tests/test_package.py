@@ -127,3 +127,29 @@ def test_overcomplete_polishes_once_outside_the_unflatten():
         if isinstance(node, ast.Name) and node.id == "_als_refine"
     ]
     assert len(named) == 1
+
+
+def test_lab_results_have_one_summary_and_one_writer():
+    # both lab experiments return the one trial-result class, whose summary
+    # holds the only quantile call, and one cli helper writes their outputs
+    def calls(tree, name):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == name
+                or isinstance(node.func, ast.Attribute) and node.func.attr == name
+            )
+        ]
+
+    package = _ROOT / "src" / "tensordec"
+    lab = ast.parse((package / "smoothed_lab.py").read_text())
+    summarized = [
+        node.name for node in ast.walk(lab)
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == "summary"
+            for item in node.body
+        )
+    ]
+    assert len(summarized) == 1
+    assert len(calls(lab, "quantile")) == 1
+    assert len(calls(ast.parse((package / "cli.py").read_text()), "_trials_csv")) == 1

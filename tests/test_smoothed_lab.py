@@ -1,5 +1,7 @@
 """Perturbation helper, random-matrix experiments, pivot constructions."""
 
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -60,6 +62,22 @@ class TestRotationPairBasis:
             rotation_pair_basis(5)
 
 
+def _expected_tail(values, scales):
+    """The summary's tail entries, recomputed: trial count, quantiles, c grid,
+    and per (key, fractions key, scale) the scale and the shares below c * scale."""
+    q = np.quantile(values, [0.01, 0.1, 0.5, 0.9, 0.99])
+    grid = [float(c) for c in np.logspace(-6, 0, 13)]
+    out = {
+        "trials": len(values),
+        "quantiles": dict(zip(["q01", "q10", "q50", "q90", "q99"], q)),
+        "c_grid": grid,
+    }
+    for key, fractions_key, scale in scales:
+        out[key] = scale
+        out[fractions_key] = [float(np.mean(values < c * scale)) for c in grid]
+    return out
+
+
 class TestKrSigmaExperiment:
     def test_order1_matches_gaussian_matrix_oracle(self):
         # at one factor the chain is a plain Gaussian matrix; compare the
@@ -81,7 +99,7 @@ class TestKrSigmaExperiment:
         result = kr_sigma_experiment(n, k, order=2, rho=rho, trials=500, seed=9)
         threshold = 1e-6 * rho**2 / n**2
         assert np.all(result.values >= threshold)
-        assert result.delta == pytest.approx(0.5)
+        assert result.summary()["delta"] == pytest.approx(0.5)
 
     def test_adversarial_base_rank_deficient_until_perturbed(self):
         n, k = 4, 8
@@ -131,6 +149,33 @@ class TestKrSigmaExperiment:
         ]
         result.values = np.full(50, 1.0)
         assert result.summary()["fraction_below"] == [0.0] * len(s["c_grid"])
+
+    @pytest.mark.parametrize("n, k, order, rho, base", [
+        (4, 5, 3, 0.7, "zero"),
+        (4, 8, 2, 1.3, "adversarial-basis"),
+    ], ids=["zero", "adversarial"])
+    def test_summary_recomputed_from_values(self, n, k, order, rho, base):
+        result = kr_sigma_experiment(n, k, order, rho, 77, base=base, seed=3)
+        expected = {
+            "n": n, "k": k, "order": order, "rho": rho, "delta": 1.0 - k / n**order,
+            **_expected_tail(result.values, [
+                ("threshold_scale", "fraction_below", rho**order / n**order),
+            ]),
+        }
+        if base != "zero":
+            assert result.unperturbed_sigma <= 1e-12
+            expected["unperturbed_sigma"] = result.unperturbed_sigma
+        assert result.summary() == expected
+
+    def test_underflowing_threshold_scale_rejected(self, monkeypatch):
+        # rho^2 / n^2 = 6.25e-342 is subnormal: rejected before any trial
+        monkeypatch.setattr(smoothed_lab, "_trial_values", None)
+        with pytest.raises(PreconditionError, match="underflows"):
+            kr_sigma_experiment(4, 2, order=2, rho=1e-170, trials=3)
+        monkeypatch.undo()
+        result = kr_sigma_experiment(4, 2, order=2, rho=1e-150, trials=3)
+        assert result.summary()["threshold_scale"] == pytest.approx(6.25e-302)
+        assert np.all(result.values > 0.0)
 
     def test_thread_pool_mapper_identical(self):
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -257,21 +302,35 @@ class TestStackedTrials:
     def test_stack_bounded_by_element_budget(self, monkeypatch):
         n, k, order = 4, 4, 3
         unbounded = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, seed=24).values
-        stacks = []
+        task = threading.local()
         trial_values = smoothed_lab._trial_values
 
         def spy(draw, evaluate, *args):
             def evaluate_spied(inputs):
                 stacks.append(len(inputs))
+                task.calls += 1
                 return evaluate(inputs)
             return trial_values(draw, evaluate_spied, *args)
 
+        def counting_map(pool):
+            def run_task(f, item):
+                task.calls = 0
+                f(item)
+                calls_per_task.append(task.calls)
+            return lambda f, items: pool.map(lambda item: run_task(f, item), items)
+
         monkeypatch.setattr(smoothed_lab, "_trial_values", spy)
         monkeypatch.setattr(smoothed_lab, "_ELEMENT_BUDGET", 3 * n**order * k)
-        bounded = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, seed=24).values
-        assert max(stacks) == 3
-        assert sum(stacks) == self.TRIALS
-        assert bounded.tobytes() == unbounded.tobytes()
+        for threads in (1, 2):
+            stacks, calls_per_task = [], []
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                bounded = kr_sigma_experiment(n, k, order, 1.0, self.TRIALS, seed=24,
+                                              mapper=counting_map(pool)).values
+            assert max(stacks) == 3
+            assert sum(stacks) == self.TRIALS
+            # each pool task is one block, and each block one stacked call
+            assert calls_per_task == [1] * -(-self.TRIALS // 3)
+            assert bounded.tobytes() == unbounded.tobytes()
 
 
 class TestProjectionExperiment:
@@ -290,7 +349,7 @@ class TestProjectionExperiment:
         n, rho = 32, 1.0
         result = projection_experiment(n, 1, delta=0.5, rho=rho, trials=1000,
                                        seed=14)
-        assert result.subspace_dim == 16
+        assert result.summary()["subspace_dim"] == 16
         fraction = np.mean(result.values < 0.01 * rho / np.sqrt(n))
         assert fraction <= 0.01
 
@@ -299,7 +358,7 @@ class TestProjectionExperiment:
         result = projection_experiment(
             n, 2, delta=0.25, rho=rho, trials=500, subspace="coordinate", seed=15
         )
-        assert result.subspace_dim == 64
+        assert result.summary()["subspace_dim"] == 64
         assert np.all(result.values >= 1e-4 * rho**2 / n**2)
 
     def test_ones_base_point_shifts_distribution(self):
@@ -332,6 +391,35 @@ class TestProjectionExperiment:
         assert s["trials"] == 20
         assert s["fraction_below_dim_scale"] == [1.0] * len(s["c_grid"])
         assert s["fraction_below_sqrt_scale"] == [1.0] * len(s["c_grid"])
+
+    @pytest.mark.parametrize("n, order, delta, rho, subspace, base_point", [
+        (32, 1, 0.5, 1.0, "gaussian", "zero"),
+        (6, 2, 0.3, 0.4, "coordinate", "ones"),
+        (4, 2, 1.0, 2.0, "gaussian", "ones"),
+        (5, 1, 0.4, 0.9, "coordinate", "zero"),
+    ], ids=["gaussian-zero", "coordinate-ones", "gaussian-ones", "coordinate-zero"])
+    def test_summary_recomputed_from_values(self, n, order, delta, rho, subspace,
+                                            base_point):
+        result = projection_experiment(n, order, delta, rho, 130, subspace=subspace,
+                                       base_point=base_point, seed=5)
+        expected = {
+            "n": n, "order": order, "delta": delta, "rho": rho,
+            "subspace_dim": math.ceil(delta * n**order),
+            **_expected_tail(result.values, [
+                ("dim_scale", "fraction_below_dim_scale", rho**order / n**order),
+                ("sqrt_scale", "fraction_below_sqrt_scale", rho**order / n ** (order / 2)),
+            ]),
+        }
+        assert result.summary() == expected
+
+    def test_underflowing_threshold_scale_rejected(self, monkeypatch):
+        # rho / n = 2.5e-321 is subnormal: rejected before any trial
+        monkeypatch.setattr(smoothed_lab, "_trial_values", None)
+        with pytest.raises(PreconditionError, match="underflows"):
+            projection_experiment(4, 1, delta=0.5, rho=1e-320, trials=3)
+        monkeypatch.undo()
+        result = projection_experiment(4, 1, delta=0.5, rho=1e-300, trials=3)
+        assert result.summary()["dim_scale"] == pytest.approx(2.5e-301)
 
     def test_summary_scales(self):
         result = projection_experiment(4, 2, delta=0.5, rho=2.0, trials=20, seed=17)
