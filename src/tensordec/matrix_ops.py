@@ -70,10 +70,9 @@ def pseudoinverse(m):
 def eig_nonsymmetric(m):
     """Eigenpairs of a square real matrix as ``(values, vectors)``, as
     ``np.linalg.eig`` gives them: (n,) complex eigenvalues and (n, n) complex
-    unit columns with ``m @ vectors[:, i] = values[i] * vectors[:, i]``."""
+    unit columns with ``m @ vectors[:, i] = values[i] * vectors[:, i]``.
+    ``jennrich_decompose``, the caller, passes the square ``core[:k, :k]``."""
     m = _as_matrix(m, "eig_nonsymmetric")
-    if m.shape[0] != m.shape[1]:
-        raise PreconditionError(f"eig_nonsymmetric needs a square matrix, got {m.shape}")
     return np.linalg.eig(m)
 
 
@@ -83,11 +82,10 @@ def condition_number(m):
     Singularity is judged at machine precision: a trailing singular value
     at or below eps times the largest cannot be certified nonzero in
     float64, so such matrices report inf rather than a meaningless 1e16.
+    The callers, ``_safe_kappa`` and ``random_decomposition``, never pass k > n.
     """
     m = _as_matrix(m, "condition_number")
-    n, k = m.shape
-    if k > n:
-        raise PreconditionError(f"condition_number expects k <= n, got {m.shape}")
+    k = m.shape[1]
     s = np.linalg.svd(m, compute_uv=False)
     if s[k - 1] <= s[0] * np.finfo(np.float64).eps:
         return float("inf")

@@ -8,7 +8,6 @@ because a grouped factor column of a rank-one term is exactly the
 Khatri-Rao (flattened outer) product of its per-mode factors.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,8 @@ SUSPECT_RESIDUAL = 1e-3
 class FlatteningPlan:
     """Assignment of the l modes to the three flattened modes.
 
-    ``groups`` holds three nonempty tuples of 0-based mode indices that
-    together partition ``range(order)``; within a group, indices fuse
+    ``groups`` holds three nonempty tuples of 0-based integer mode indices
+    that together partition ``range(order)``; within a group, indices fuse
     lexicographically in the listed order.
     """
 
@@ -39,7 +38,10 @@ class FlatteningPlan:
         flat = [i for g in self.groups for i in g]
         if any(len(g) == 0 for g in self.groups):
             raise PreconditionError("every group must be nonempty")
-        if sorted(flat) != list(range(self.order)):
+        # a float index equals its int but cannot index a shape
+        if sorted(flat) != list(range(self.order)) or not all(
+            hasattr(i, "__index__") for i in flat
+        ):
             raise PreconditionError(
                 f"groups {self.groups} do not partition {self.order} modes"
             )
@@ -51,12 +53,11 @@ def default_plan(shape):
     Among all contiguous three-way splits, picks the one whose smaller
     fused side product is largest (that product caps the recoverable
     rank), breaking ties toward balance and then toward the split with
-    floor((l-1)/2) modes in each side group.
+    floor((l-1)/2) modes in each side group. ``overcomplete_decompose``, the
+    caller, has checked that the shape has three or more modes.
     """
     shape = tuple(int(s) for s in shape)
     ell = len(shape)
-    if ell < 3:
-        raise PreconditionError("flattening needs an order-3 or higher tensor")
     q = (ell - 1) // 2
     best = None
     for a in range(1, ell - 1):
@@ -81,7 +82,9 @@ def unflatten_rank_one(columns, mode_sizes):
     given modes.
 
     ``columns`` is (N, k), each column a flattened tensor of shape
-    ``mode_sizes``. Returns ``(factors, residuals)``: column i of the
+    ``mode_sizes``: the caller, ``overcomplete_decompose``, passes a group's
+    float64 factor matrix, whose N ``flatten_to_order3`` made the product of
+    the group's sizes. Returns ``(factors, residuals)``: column i of the
     (n_j, k) matrices ``factors[j]`` holds the vectors whose outer product
     is the fitted rank-one tensor of column i (the fitted scale rides on
     the first, the others are unit), and ``residuals[i]`` is that fit's
@@ -95,22 +98,12 @@ def unflatten_rank_one(columns, mode_sizes):
     misfit is ``sqrt(sum_j (s_1...s_{j-1} tail_j)^2)``, with ``s_j`` the
     top singular value and ``tail_j`` the norm of the rest of peel j.
     """
-    columns = np.asarray(columns, dtype=np.float64)
-    sizes = [int(s) for s in mode_sizes]
-    if columns.ndim != 2:
-        raise PreconditionError("unflatten_rank_one takes an (N, k) matrix")
-    if any(s < 1 for s in sizes):
-        raise PreconditionError("mode sizes must be positive")
-    if columns.shape[0] != math.prod(sizes):
-        raise PreconditionError(
-            f"columns of length {columns.shape[0]} do not fill modes {sizes}"
-        )
     k = columns.shape[1]
     # 1-D norms: an axis-wise norm sums in another order and moves last bits
     totals = np.array([np.linalg.norm(c) for c in columns.T])
     zero = totals == 0.0
     vectors, scale, misfit, rest = [], np.ones(k), np.zeros(k), columns
-    for n in sizes[:-1]:
+    for n in mode_sizes[:-1]:
         left, top, rest, tail = _split_rank_one(rest.T.reshape(k, n, len(rest) // n))
         vectors.append(left)
         misfit = np.hypot(misfit, scale * tail)

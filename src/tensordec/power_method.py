@@ -43,24 +43,12 @@ class OrthogonalDecomposition:
 
     ``vectors`` holds the ``v_i`` as columns of an (n, k) matrix, unit norm
     and mutually orthogonal for exactly decomposable inputs; recovery from
-    noisy tensors can leave small cross inner products, which the
-    constructor does not reject.
+    noisy tensors can leave small cross inner products. ``deflate_decompose``,
+    the one constructor, builds finite float64 arrays of matching shapes.
     """
 
     lambdas: np.ndarray
     vectors: np.ndarray
-
-    def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.lambdas.ndim != 1 or self.vectors.ndim != 2:
-            raise PreconditionError("need (k,) lambdas and (n, k) vectors")
-        if self.vectors.shape[1] != self.lambdas.shape[0]:
-            raise PreconditionError("one vector per lambda required")
-        if not (
-            np.all(np.isfinite(self.lambdas)) and np.all(np.isfinite(self.vectors))
-        ):
-            raise PreconditionError("entries must be finite")
 
 
 def _symmetrize(arr):

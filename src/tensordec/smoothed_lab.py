@@ -38,6 +38,7 @@ _TRIAL_BLOCK = 64
 # chain, the chains one stacked SVD holds, or a projection's (n^order, dim) basis.
 _ELEMENT_BUDGET = 2**22
 _C_GRID = tuple(float(c) for c in np.logspace(-6, 0, 13))
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 def perturb_matrix(base, rho, rng):
@@ -52,14 +53,15 @@ def _check_rho(rho, order, n=None):
     """PreconditionError unless rho is positive and finite and ``rho**order``
     fits in float64. Given n, also unless the lab's smallest threshold scale,
     ``rho**order / n**order``, is at least the least normal float64: below
-    it the trials underflow to 0 and the summary's fractions mean nothing."""
+    it the trials underflow to 0 and the summary's fractions mean nothing.
+    That scale is compared in logarithms, which take an int n of any size."""
     if not 0 < rho < np.inf:
         raise PreconditionError(f"rho must be positive and finite, got {rho}")
     try:
-        power = rho**order
+        rho**order
     except OverflowError:
         raise PreconditionError(f"rho^order overflows: rho={rho}, order={order}") from None
-    if n is not None and power / n**order < np.finfo(np.float64).tiny:
+    if n is not None and order * (math.log(rho) - math.log(n)) < _LOG_TINY:
         raise PreconditionError(
             f"rho^order / n^order underflows float64: rho={rho}, n={n}, order={order}"
         )
@@ -222,9 +224,13 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     delta = float(delta)
     _check_rho(rho, order, n)
     ambient = n**order
-    if not np.isfinite(delta * ambient):
-        raise PreconditionError(f"delta * n^order must be finite, got {delta} * {ambient}")
-    dim = int(np.ceil(delta * ambient))
+    try:
+        # an int ambient beyond float64, an infinite product and NaN all raise
+        dim = math.ceil(delta * ambient)
+    except (OverflowError, ValueError):
+        raise PreconditionError(
+            f"delta * n^order must be finite, got {delta} * {ambient}"
+        ) from None
     if dim < 1:
         raise PreconditionError("delta * n^order must be at least 1")
     if dim > ambient:

@@ -175,15 +175,9 @@ def slice_combination(t, a):
     """Contract the third mode of an order-3 tensor with the vector ``a``.
 
     Returns the matrix ``M`` with ``M[i1, i2] = sum_i3 T[i1, i2, i3] * a[i3]``,
-    a linear combination of the frontal slices of ``t``.
+    a linear combination of the frontal slices of ``t``. ``jennrich_decompose``,
+    the caller, checks the order and draws ``a`` of length ``t.shape[2]``.
     """
-    if t.order != 3:
-        raise PreconditionError("slice_combination expects an order-3 tensor")
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (t.shape[2],):
-        raise PreconditionError(
-            f"combination vector has length {a.shape}, expected ({t.shape[2]},)"
-        )
     return np.einsum("ijk,k->ij", t.data, a)
 
 
@@ -239,19 +233,14 @@ def _als_refine(data, factors):
 def flatten_to_order3(t, group1, group2, group3):
     """Fuse the modes of ``t`` into three groups, producing an order-3 tensor.
 
-    The three groups must partition ``0 .. t.order-1`` and each be nonempty.
-    Within a group, indices fuse lexicographically in the listed order, so a
-    rank-one tensor flattens to the rank-one tensor of the per-group
-    Khatri-Rao products of its factors.
+    The three groups are nonempty and partition ``0 .. t.order-1``: the one
+    caller, ``overcomplete_decompose``, passes the groups of a checked
+    ``FlatteningPlan``. Within a group, indices fuse lexicographically in the
+    listed order, so a rank-one tensor flattens to the rank-one tensor of the
+    per-group Khatri-Rao products of its factors.
     """
-    groups = [tuple(int(i) for i in g) for g in (group1, group2, group3)]
+    groups = (group1, group2, group3)
     flat = [i for g in groups for i in g]
-    if any(len(g) == 0 for g in groups):
-        raise PreconditionError("every mode group must be nonempty")
-    if sorted(flat) != list(range(t.order)):
-        raise PreconditionError(
-            f"groups {groups} do not partition the modes of an order-{t.order} tensor"
-        )
     sizes = [int(np.prod([t.shape[i] for i in g])) for g in groups]
     rearranged = np.transpose(t.data, axes=flat)
     return DenseTensor(rearranged.reshape(sizes))
@@ -305,6 +294,12 @@ def tnsr_bytes(t):
     )
 
 
+def _is_count(x, least=0):
+    """Whether a JSON value is an integer of at least ``least``. The test is
+    ``type(x) is int``: JSON true and false are bools, and bool subclasses int."""
+    return type(x) is int and x >= least
+
+
 def read_tnsr(path):
     """Read a DenseTensor from the TNSR v1 container."""
     with open(path, "rb") as fh:
@@ -320,12 +315,11 @@ def read_tnsr(path):
         raise FormatError(f"{path}: header must carry 'order' and 'shape'")
     order = header["order"]
     shape = header["shape"]
-    # type(...) is int: JSON true and false are bools, and bool subclasses int
     if (
-        type(order) is not int
+        not _is_count(order)
         or not isinstance(shape, list)
         or len(shape) != order
-        or not all(type(s) is int and s >= 1 for s in shape)
+        or not all(_is_count(s, 1) for s in shape)
     ):
         raise FormatError(f"{path}: inconsistent order/shape in header")
     count = math.prod(shape)
@@ -365,6 +359,9 @@ def decomposition_from_dict(obj):
         raise FormatError(f"decomposition JSON missing field: {exc}") from exc
     shape = obj.get("shape")
     try:
+        if not (_is_count(order) and _is_count(rank)
+                and all(_is_count(s, 1) for s in shape or ())):
+            raise FormatError("decomposition JSON order, rank and shape must be integers")
         if len(factors) != order or len(weights) != rank:
             raise FormatError("decomposition JSON fields disagree on order/rank")
         if shape is not None and len(shape) != order:
@@ -376,11 +373,11 @@ def decomposition_from_dict(obj):
             if rank == 0:
                 if shape is None:
                     raise FormatError("rank-0 decompositions need an explicit shape")
-                mats.append(np.zeros((int(shape[j]), 0)))
+                mats.append(np.zeros((shape[j], 0)))
             else:
                 mats.append(np.array(cols, dtype=np.float64).T)
         d = CpDecomposition(mats, weights)
-        if shape is not None and list(d.shape) != [int(s) for s in shape]:
+        if shape is not None and list(d.shape) != list(shape):
             raise FormatError("factor row counts disagree with the declared shape")
     except FormatError:
         raise

@@ -13,6 +13,7 @@ import pytest
 
 from tensordec import (
     CpDecomposition,
+    DenseTensor,
     __version__,
     read_decomposition,
     read_tnsr,
@@ -246,6 +247,20 @@ class TestDecompose:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method, shape, message", [
+        ("flatten-jennrich", (3, 3), "overcomplete_decompose expects order >= 3"),
+        ("jennrich", (2, 2, 2, 2), "jennrich_decompose expects an order-3 tensor"),
+    ], ids=["flatten-order-2", "jennrich-order-4"])
+    def test_wrong_order_exits_4(self, tmp_path, capsys, method, shape, message):
+        # the decomposers' entry checks reject the order before any helper runs
+        data = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+        (tmp_path / "t.tnsr").write_bytes(tnsr_bytes(DenseTensor(data)))
+        code, out = run(tmp_path, "decompose", "--input", str(tmp_path / "t.tnsr"),
+                        "--method", method)
+        assert code == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_power_method_with_whitening(self, tmp_path):
         from tensordec import gmm_orthogonal_params, gmm_statistic_exact
 
@@ -427,9 +442,18 @@ class TestEval:
             b'{"order": 1, "rank": 0, "weights": [], "factors": [[]], "shape": [-1]}',
             b'{"order": 1, "rank": 1, "weights": ["a"], "factors": [[[1.0]]]}',
             b'{"order": 1, "rank": \xff}',
+            b'{"order": true, "rank": 1, "weights": [1.0], "factors": [[[1.0]]]}',
+            b'{"order": 1, "rank": true, "weights": [1.0], "factors": [[[1.0]]]}',
+            b'{"order": 1, "rank": 1, "weights": [1.0], "factors": [[[1.0]]], '
+            b'"shape": [true]}',
+            b'{"order": 1.0, "rank": 1, "weights": [1.0], "factors": [[[1.0]]]}',
+            b'{"order": 1, "rank": 1.0, "weights": [1.0], "factors": [[[1.0]]]}',
+            b'{"order": 1, "rank": 1, "weights": [1.0], "factors": [[[1.0]]], '
+            b'"shape": [1.5]}',
         ],
         ids=["factors-int", "ragged-columns", "shape-text", "shape-negative",
-             "weights-text", "invalid-utf8"],
+             "weights-text", "invalid-utf8", "order-bool", "rank-bool", "shape-bool",
+             "order-float", "rank-float", "shape-float"],
     )
     def test_malformed_decomposition_exits_2(self, tmp_path, capsys, found):
         (tmp_path / "found.json").write_bytes(found)
@@ -560,8 +584,12 @@ class TestLab:
             ["kr-sigma", "--n", "4", "--k", "4", "--l", "2", "--rho", "1e300"],
             ["projection", "--n", "32", "--l", "1", "--delta", "1e308"],
             ["projection", "--n", "4", "--l", "2", "--delta", "0.5", "--rho", "1e300"],
+            ["projection", "--n", str(10**155), "--l", "2", "--delta", "0.5"],
+            ["projection", "--n", str(10**155), "--l", "2", "--delta", "0.5",
+             "--rho", "1e150"],
         ],
-        ids=["kr-sigma-rho", "projection-delta", "projection-rho"],
+        ids=["kr-sigma-rho", "projection-delta", "projection-rho",
+             "projection-huge-n", "projection-huge-n-rho"],
     )
     def test_overflowing_parameters_exit_4(self, tmp_path, argv):
         # finite flags whose power overflows float64

@@ -36,6 +36,10 @@ class TestFlatteningPlan:
         with pytest.raises(PreconditionError):
             FlatteningPlan(order=3, groups=((0,), (1,), ()))
 
+    def test_modes_must_be_integers(self):
+        with pytest.raises(PreconditionError):
+            FlatteningPlan(order=4, groups=((0.0,), (1,), (2, 3)))
+
     def test_valid_plan(self):
         plan = FlatteningPlan(order=5, groups=((0, 1), (2, 3), (4,)))
         assert plan.order == 5
@@ -101,14 +105,6 @@ class TestUnflattenRankOne:
         assert residual <= 1e-10
         recon = _outer(vecs).ravel()
         assert np.allclose(recon, flat, atol=1e-10)
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
-            unflatten_rank_one(np.ones((5, 2)), [2, 2])
-
-    def test_flat_vector_rejected(self):
-        with pytest.raises(PreconditionError, match=r"\(N, k\) matrix"):
-            unflatten_rank_one(np.ones(4), [2, 2])
 
     @pytest.mark.parametrize("noise", [0.0, 1e-6])
     def test_two_mode_factors_equal_a_stacked_svd_reference(self, noise):
@@ -275,6 +271,11 @@ class TestOvercompleteDecompose:
         plan = FlatteningPlan(order=4, groups=((0,), (1,), (2, 3)))
         with pytest.raises(PreconditionError):
             overcomplete_decompose(synthesize(truth), plan=plan)
+
+    def test_order_below_three_rejected(self):
+        # the entry check the flattening and the default plan rely on
+        with pytest.raises(PreconditionError, match="expects order >= 3"):
+            overcomplete_decompose(DenseTensor(np.ones((3, 3))))
 
     def test_three_mode_groups_order7(self):
         truth = smoothed_decomposition((3,) * 7, 8, rho=0.5, seed=0)

@@ -109,6 +109,27 @@ def test_rank_one_splits_go_through_the_one_kernel():
     assert direct == []
 
 
+def test_decomposer_helpers_leave_input_checks_to_their_callers():
+    # each input is checked once, where it enters: the helpers below the
+    # decomposers' entry points raise nothing, and the power method's result
+    # type does not re-check what deflate_decompose built
+    package = _ROOT / "src" / "tensordec"
+    defs = {
+        node.name: node
+        for name in ("tensor_core.py", "overcomplete.py", "power_method.py")
+        for node in ast.parse((package / name).read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    helpers = ("flatten_to_order3", "slice_combination", "default_plan",
+               "unflatten_rank_one")
+    raising = [name for name in helpers
+               if any(isinstance(node, ast.Raise) for node in ast.walk(defs[name]))]
+    assert raising == []
+    methods = [item.name for item in defs["OrthogonalDecomposition"].body
+               if isinstance(item, ast.FunctionDef)]
+    assert "__post_init__" not in methods
+
+
 def test_overcomplete_polishes_once_outside_the_unflatten():
     # the unflatten is the peel alone; the one ALS polish runs on the whole
     # tensor in overcomplete_decompose

@@ -23,7 +23,6 @@ from tensordec import (
 )
 from tensordec import power_method
 from tensordec.moment_learners import gmm_second_moment, gmm_statistic_t3
-from tensordec.power_method import OrthogonalDecomposition
 from tensordec.seeding import TAG_POWER, derive_rng
 
 
@@ -87,17 +86,6 @@ def _reference_decompose(t, k, seed=0, max_iters=500):
 def _whitened_gmm_moment(n, k, samples, seed):
     x = gmm_sample(gmm_orthogonal_params(n, k, seed=seed), samples, seed=seed)
     return whiten(gmm_statistic_t3(x), gmm_second_moment(x), k)[0]
-
-
-class TestOrthogonalDecomposition:
-    def test_validate_accepts_orthonormal(self):
-        od = OrthogonalDecomposition([2.0, 1.0], np.eye(3)[:, :2])
-        assert od.lambdas.dtype == od.vectors.dtype == np.float64
-        assert np.array_equal(od.vectors, np.eye(3)[:, :2])
-
-    def test_shape_checks(self):
-        with pytest.raises(PreconditionError):
-            OrthogonalDecomposition(np.array([1.0, 2.0]), np.eye(3)[:, :1])
 
 
 class TestDeflateDecompose:

@@ -421,6 +421,17 @@ class TestProjectionExperiment:
         result = projection_experiment(4, 1, delta=0.5, rho=1e-300, trials=3)
         assert result.summary()["dim_scale"] == pytest.approx(2.5e-301)
 
+    @pytest.mark.parametrize("rho, message", [
+        (1.0, "underflows"),
+        (1e150, "delta \\* n\\^order must be finite"),
+    ], ids=["threshold-scale", "subspace-dim"])
+    def test_huge_n_rejected_before_any_trial(self, monkeypatch, rho, message):
+        # n^2 = 1e310 is an int beyond float64: rho^2 / n^2 is compared in
+        # logarithms, and delta * n^2 overflows once rho lifts that scale
+        monkeypatch.setattr(smoothed_lab, "_trial_values", None)
+        with pytest.raises(PreconditionError, match=message):
+            projection_experiment(10**155, 2, delta=0.5, rho=rho, trials=1)
+
     def test_summary_scales(self):
         result = projection_experiment(4, 2, delta=0.5, rho=2.0, trials=20, seed=17)
         s = result.summary()

@@ -337,15 +337,6 @@ class TestFlattenToOrder3:
                     for l in range(5):
                         assert flat.data[j * 5 + l, i, k] == t.data[i, j, k, l]
 
-    def test_bad_partitions_rejected(self):
-        t = DenseTensor(np.zeros((2, 2, 2)))
-        with pytest.raises(PreconditionError):
-            flatten_to_order3(t, (0,), (1,), (1,))
-        with pytest.raises(PreconditionError):
-            flatten_to_order3(t, (0,), (1,), ())
-        with pytest.raises(PreconditionError):
-            flatten_to_order3(t, (0,), (1,), (5,))
-
 
 class TestFrobeniusNorm:
     def test_zero_tensor(self):
