@@ -341,14 +341,11 @@ def cmd_lab_pivot(args, seed, mapper):
     else:
         pivot = build_pivot_basis_l2(basis, n)
         payload = {
-            "rounds": pivot.rounds,
+            "rounds": len(pivot.rounds),
             "rows": list(pivot.rows),
-            "pivot_columns": [list(c) for c in pivot.pivot_columns],
-            "row_counts": pivot.row_counts(),
-            "matrices": [
-                [[float(x) for x in m.ravel()] for m in round_mats]
-                for round_mats in pivot.matrices
-            ],
+            "pivot_columns": [[p % n for p in r.pivots] for r in pivot.rounds],
+            "row_counts": [r.count for r in pivot.rounds],
+            "matrices": [_columns(r.vectors) for r in pivot.rounds],
         }
     payload.update(order=args.order, n=n, dim=dim, count=pivot.count,
                    max_violation=pivot.max_violation(),

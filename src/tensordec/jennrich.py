@@ -107,8 +107,12 @@ def jennrich_decompose(t, config=None):
     """Decompose an order-3 tensor into rank-one terms.
 
     Returns ``(decomposition, report)``. Raises DegeneracyError when no
-    random draw within the retry budget produces separated eigenvalues, and
-    PreconditionError when the requested rank exceeds ``min(n, m)``.
+    random draw within the retry budget produces separated eigenvalues, its
+    diagnostics describing the last draw: ``stage: "rank"`` with the rank of
+    ``M_b`` and the requested rank when ``M_b`` had too small a rank to
+    compute any, else ``stage: "separation"`` with the eigenvalues' smallest
+    gap and magnitude. Raises PreconditionError when the requested rank
+    exceeds ``min(n, m)``.
     """
     cfg = config or JennrichConfig()
     if t.order != 3:
@@ -126,7 +130,6 @@ def jennrich_decompose(t, config=None):
             )
     rng = derive_rng(cfg.seed, TAG_JENNRICH, 0)
 
-    failure = {"attempts": _DRAWS}
     for attempt in range(_DRAWS):
         a = rng.normal(0.0, 1.0 / np.sqrt(p), size=p)
         b = rng.normal(0.0, 1.0 / np.sqrt(p), size=p)
@@ -141,7 +144,7 @@ def jennrich_decompose(t, config=None):
             )
             return empty, RecoveryReport(condition_numbers=[], retries=attempt)
         if k > r:
-            failure.update(min_magnitude=0.0, stage="separation")
+            failure = {"stage": "rank", "slice_rank": r, "requested_rank": k}
             continue
 
         values, vectors = eig_nonsymmetric(core[:k, :k])
@@ -150,7 +153,7 @@ def jennrich_decompose(t, config=None):
         gap = _min_pairwise_gap(lam)
         mag = float(np.min(np.abs(lam)))
         if not (gap >= _MIN_SEP and mag >= _MIN_SEP):
-            failure.update(min_gap=gap, min_magnitude=mag, stage="separation")
+            failure = {"stage": "separation", "min_gap": gap, "min_magnitude": mag}
             continue
 
         u_mat, imag = _phase_aligned_real(left[:, :k] @ vectors[:, order])
@@ -170,11 +173,10 @@ def jennrich_decompose(t, config=None):
         )
         return decomposition, report
 
-    raise DegeneracyError(
-        "no random slice combination produced separated eigenvalues "
-        f"after {_DRAWS} draws",
-        diagnostics=failure,
-    )
+    message = f"no random slice combination produced separated eigenvalues after {_DRAWS} draws"
+    if failure["stage"] == "rank":
+        message += f": the last draw's M_b has rank {r}, below the requested rank {k}"
+    raise DegeneracyError(message, diagnostics={"attempts": _DRAWS, **failure})
 
 
 def _perfect_matching(choices):

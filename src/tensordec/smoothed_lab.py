@@ -225,8 +225,10 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     _check_rho(rho, order, n)
     ambient = n**order
     try:
-        # an int ambient beyond float64, an infinite product and NaN all raise
-        dim = math.ceil(delta * ambient)
+        # the exact product, rounded once, so a huge int ambient meets the
+        # budget below; a product beyond float64, inf and NaN all raise
+        num, den = delta.as_integer_ratio()
+        dim = math.ceil(num * ambient / den)
     except (OverflowError, ValueError):
         raise PreconditionError(
             f"delta * n^order must be finite, got {delta} * {ambient}"
@@ -276,7 +278,9 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
 
 class _PivotChecks:
     """The invariants of both pivot constructions: distinct pivots
-    (``_distinct()``) and a ``max_violation()`` within tolerance."""
+    (``_distinct()``) and a ``max_violation()`` within tolerance.
+    ``PivotBasis`` holds the one staircase check; ``PivotBasisL2`` runs it
+    on each round and adds only what ties the rounds to their rows."""
 
     def invariants_pass(self, tol=1e-10):
         return bool(self._distinct() and self.max_violation() <= tol)
@@ -367,48 +371,35 @@ def build_pivot_basis(basis):
 class PivotBasisL2(_PivotChecks):
     """Rounds of pivot matrices, one valid row per round.
 
-    Round t holds matrices whose pivots share row ``rows[t]``, with
-    distinct pivot columns inside the round; every matrix of a later round
-    vanishes on all earlier rounds' rows entirely, and within a round each
-    matrix vanishes at the earlier pivots of that round. All entries are
-    bounded by 1 with the pivot entry exactly +-1.
+    Round t is a ``PivotBasis`` whose vectors are n x n matrices flattened
+    row-major and whose pivots are the flat cells ``rows[t] * n + col``, all
+    in row ``rows[t]``. Every matrix of a later round also vanishes on all
+    earlier rounds' rows entirely.
     """
 
     rows: tuple
-    pivot_columns: tuple   # tuple per round
-    matrices: tuple        # tuple per round of (n, n) arrays
-
-    @property
-    def rounds(self):
-        return len(self.rows)
+    rounds: tuple   # one PivotBasis per row
 
     @property
     def count(self):
-        return sum(len(cols) for cols in self.pivot_columns)
-
-    def row_counts(self):
-        return [len(cols) for cols in self.pivot_columns]
+        return sum(r.count for r in self.rounds)
 
     def max_violation(self):
+        """Worst deviation of a round from its own staircase, or worst entry
+        of a round on an earlier round's row."""
+        n = math.isqrt(self.rounds[0].vectors.shape[0])
         worst = 0.0
-        for t, (row, cols, mats) in enumerate(
-            zip(self.rows, self.pivot_columns, self.matrices)
-        ):
-            mats = np.abs(np.stack(mats))
-            # at_pivots[j, jp] = |matrix j| at the pivot cell of matrix jp
-            at_pivots = mats[:, row, list(cols)]
-            worst = max(worst, float(np.max(np.concatenate([
-                np.max(mats, axis=(1, 2)) - 1.0,
-                np.abs(np.diag(at_pivots) - 1.0),
-                at_pivots[np.tril_indices(len(cols), -1)],
-                mats[:, list(self.rows[:t]), :].ravel(),
-            ]))))
+        for t, r in enumerate(self.rounds):
+            on_earlier_rows = np.abs(r.vectors.reshape(n, n, -1)[list(self.rows[:t])])
+            worst = max(worst, r.max_violation(), float(np.max(on_earlier_rows, initial=0.0)))
         return worst
 
     def _distinct(self):
-        """Round rows distinct, and pivot columns distinct within each round."""
-        return len(set(self.rows)) == self.rounds and all(
-            len(set(cols)) == len(cols) for cols in self.pivot_columns
+        """Rows distinct, and each round's pivots distinct and in its row."""
+        n = math.isqrt(self.rounds[0].vectors.shape[0])
+        return len(set(self.rows)) == len(self.rounds) and all(
+            r._distinct() and all(p // n == row for p in r.pivots)
+            for row, r in zip(self.rows, self.rounds)
         )
 
 
@@ -428,8 +419,7 @@ def build_pivot_basis_l2(basis, n):
     if b.shape[0] != n * n:
         raise PreconditionError("basis rows must have length n*n")
     rows = []
-    round_cols = []
-    round_mats = []
+    rounds = []
     while b.shape[1] > 0:
         flat = build_pivot_basis(b)
         pivot_rows = [p // n for p in flat.pivots]
@@ -437,17 +427,11 @@ def build_pivot_basis_l2(basis, n):
         best_row = int(np.argmax(counts))
         keep = [j for j, pr in enumerate(pivot_rows) if pr == best_row]
         rows.append(best_row)
-        round_cols.append(tuple(int(flat.pivots[j] % n) for j in keep))
-        round_mats.append(
-            tuple(flat.vectors[:, j].reshape(n, n).copy() for j in keep)
-        )
+        rounds.append(PivotBasis(vectors=flat.vectors[:, keep],
+                                 pivots=tuple(flat.pivots[j] for j in keep)))
         row_coords = b[best_row * n : (best_row + 1) * n, :]
         null = _null_space(row_coords)
         if null.shape[1] == 0:
             break
         b = b @ null
-    return PivotBasisL2(
-        rows=tuple(rows),
-        pivot_columns=tuple(round_cols),
-        matrices=tuple(round_mats),
-    )
+    return PivotBasisL2(rows=tuple(rows), rounds=tuple(rounds))

@@ -212,18 +212,17 @@ def _als_refine(data, factors):
     the first factor by at most ``_POLISH_TOL`` relative, so a start that is
     already a fixed point takes one sweep. The weights ride on the factors.
     """
-    unfoldings = [
-        np.moveaxis(data, j, 0).reshape(n, -1) for j, n in enumerate(data.shape)
-    ]
     # C order fixes the BLAS summation order of the first sweep's products
     factors = [np.ascontiguousarray(f, dtype=np.float64) for f in factors]
     for _ in range(_POLISH_SWEEPS):
         previous = factors[0]
-        for j, unfolding in enumerate(unfoldings):
+        for j, n in enumerate(data.shape):
             others = factors[:j] + factors[j + 1 :]
             grams = functools.reduce(np.multiply, [f.T @ f for f in others])
             kr = functools.reduce(khatri_rao, others)
-            factors[j] = unfolding @ kr @ pseudoinverse(grams)
+            # the mode-j unfolding, a transposed copy for an inner mode,
+            # lives only for this product
+            factors[j] = np.moveaxis(data, j, 0).reshape(n, -1) @ kr @ pseudoinverse(grams)
         change = np.linalg.norm(factors[0] - previous)
         if change <= _POLISH_TOL * np.linalg.norm(factors[0]):
             break

@@ -383,6 +383,21 @@ class TestDecompose:
         assert code == 3
         assert not out.exists()
 
+    def test_rank_deficient_slices_exit_3_naming_both_ranks(self, tmp_path, capsys):
+        # every draw's M_b of a rank-3 tensor has rank 3 < 5, so no
+        # eigenvalue is ever computed: the run says which ranks disagreed
+        code, synth = run(tmp_path, "synth", "--shape", "6,6,6", "--rank", "3",
+                          "--seed", "1")
+        assert code == 0
+        capsys.readouterr()
+        code, out = run(tmp_path, "decompose", "--input", str(synth / "tensor.tnsr"),
+                        "--rank", "5")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "has rank 3, below the requested rank 5" in err
+        assert "'stage': 'rank'" in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_matches_decompose_report(self, tmp_path):
@@ -657,6 +672,16 @@ class TestLab:
         code, out = run(tmp_path, "lab", "kr-sigma", "--n", "4", "--k", "5",
                         "--l", "3", "--trials", "3")
         assert code == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["1e-200", "1e-320"])
+    def test_projection_huge_n_finite_product_over_budget_exits_4(self, tmp_path, capsys,
+                                                                   delta):
+        # delta * n^2 is finite (1e110 or 1e-10), so the basis size rejects it
+        code, out = run(tmp_path, "lab", "projection", "--n", str(10**155), "--l", "2",
+                        "--delta", delta, "--rho", "1e150", "--trials", "1")
+        assert code == 4
+        assert "projection basis" in capsys.readouterr().err
         assert not out.exists()
 
     def test_projection_basis_over_budget_exits_4(self, tmp_path):

@@ -130,6 +130,17 @@ class TestJennrichDecompose:
             jennrich_decompose(DenseTensor(t), JennrichConfig(rank=2))
         assert exc_info.value.diagnostics
 
+    def test_rank_deficient_slices_reported_by_rank(self):
+        # M_b of a rank-3 tensor has rank 3 at every draw, below the
+        # requested 5: no eigenvalue is computed, and the diagnostics say so
+        t = synthesize(random_decomposition((6, 6, 6), 3, seed=1))
+        with pytest.raises(DegeneracyError,
+                           match="rank 3, below the requested rank 5") as exc_info:
+            jennrich_decompose(t, JennrichConfig(rank=5))
+        assert exc_info.value.diagnostics == {
+            "attempts": 6, "stage": "rank", "slice_rank": 3, "requested_rank": 5,
+        }
+
     def test_reconstruction_residual_small(self):
         truth = random_decomposition((7, 9, 5), 4, seed=6)
         t = synthesize(truth)

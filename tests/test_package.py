@@ -174,3 +174,23 @@ def test_lab_results_have_one_summary_and_one_writer():
     assert len(summarized) == 1
     assert len(calls(lab, "quantile")) == 1
     assert len(calls(ast.parse((package / "cli.py").read_text()), "_trials_csv")) == 1
+
+
+def test_both_pivot_constructions_share_one_staircase_check():
+    # each matrix-pivot round is a PivotBasis, so the triangle of earlier
+    # pivots is read in one place and the rounds keep no parallel fields
+    tree = ast.parse((_ROOT / "src" / "tensordec" / "smoothed_lab.py").read_text())
+    triangles = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("triu_indices", "tril_indices")
+    ]
+    assert len(triangles) == 1
+    l2 = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "PivotBasisL2"
+    )
+    defined = {item.name for item in l2.body if isinstance(item, ast.FunctionDef)} | {
+        item.target.id for item in l2.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+    assert not defined & {"pivot_columns", "matrices", "row_counts"}

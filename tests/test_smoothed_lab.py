@@ -432,6 +432,14 @@ class TestProjectionExperiment:
         with pytest.raises(PreconditionError, match=message):
             projection_experiment(10**155, 2, delta=0.5, rho=rho, trials=1)
 
+    @pytest.mark.parametrize("delta", [1e-200, 1e-320])
+    def test_huge_n_with_finite_product_meets_the_budget(self, monkeypatch, delta):
+        # delta * n^2 is 1e110 or 1e-10, both finite: the exact product gives
+        # the subspace dimension, and the basis it needs is over budget
+        monkeypatch.setattr(smoothed_lab, "_trial_values", None)
+        with pytest.raises(PreconditionError, match="projection basis .* exceeds"):
+            projection_experiment(10**155, 2, delta=delta, rho=1e150, trials=1)
+
     def test_summary_scales(self):
         result = projection_experiment(4, 2, delta=0.5, rho=2.0, trials=20, seed=17)
         s = result.summary()
@@ -503,9 +511,9 @@ class TestBuildPivotBasisL2:
         pb = build_pivot_basis_l2(np.column_stack(cols), n)
         pb.validate(tol=1e-12)
         found = {
-            (pb.rows[t], c)
-            for t in range(pb.rounds)
-            for c in pb.pivot_columns[t]
+            (pb.rows[t], p % n)
+            for t, r in enumerate(pb.rounds)
+            for p in r.pivots
         }
         assert found == set(cells)
 
@@ -516,15 +524,15 @@ class TestBuildPivotBasisL2:
         pb = build_pivot_basis_l2(basis, n)
         pb.validate(tol=1e-10)
         assert pb.count >= 1
-        assert len(set(pb.rows)) == pb.rounds
-        assert sum(pb.row_counts()) == pb.count
+        assert len(set(pb.rows)) == len(pb.rounds)
+        assert sum(r.count for r in pb.rounds) == pb.count
 
     def test_single_matrix_subspace(self):
         rng = np.random.default_rng(20)
         m = rng.standard_normal((4, 4))
         basis = m.ravel()[:, None] / np.linalg.norm(m)
         pb = build_pivot_basis_l2(basis, 4)
-        assert pb.rounds == 1
+        assert len(pb.rounds) == 1
         assert pb.count == 1
         pb.validate(tol=1e-12)
 
@@ -554,12 +562,15 @@ def _max_violation_loop(pb):
 def _max_violation_l2_loop(pb):
     """Matrix-by-matrix reference for PivotBasisL2.max_violation."""
     worst = 0.0
-    for t in range(pb.rounds):
-        for j, mat in enumerate(pb.matrices[t]):
+    n = math.isqrt(pb.rounds[0].vectors.shape[0])
+    for t, r in enumerate(pb.rounds):
+        cells = [divmod(p, n) for p in r.pivots]
+        for j in range(r.count):
+            mat = r.vectors[:, j].reshape(n, n)
             worst = max(worst, float(np.max(np.abs(mat))) - 1.0)
-            worst = max(worst, abs(abs(mat[pb.rows[t], pb.pivot_columns[t][j]]) - 1.0))
+            worst = max(worst, abs(abs(mat[cells[j]]) - 1.0))
             for jp in range(j):
-                worst = max(worst, abs(mat[pb.rows[t], pb.pivot_columns[t][jp]]))
+                worst = max(worst, abs(mat[cells[jp]]))
             for tp in range(t):
                 worst = max(worst, float(np.max(np.abs(mat[pb.rows[tp], :]))))
     return worst
@@ -613,9 +624,9 @@ class TestMaxViolation:
     ])
     def test_matrix_pivots_break_one_property(self, t, j, cell, value, expected):
         good = build_pivot_basis_l2(_gate_basis(9, 15, 64, 32), 8)
-        assert good.row_counts() == [3, 2]
-        matrices = [[m.copy() for m in mats] for mats in good.matrices]
-        row, cols = good.rows[t], good.pivot_columns[t]
+        assert [r.count for r in good.rounds] == [3, 2]
+        vectors = [r.vectors.copy() for r in good.rounds]
+        row, cols = good.rows[t], [p % 8 for p in good.rounds[t].pivots]
         at = {
             "own": (row, cols[j]),
             "earlier": (row, cols[0]),
@@ -623,12 +634,31 @@ class TestMaxViolation:
             "earlier row": (good.rows[0], 5),
             "free": (min(set(range(8)) - set(good.rows)), 6),
         }[cell]
-        matrices[t][j][at] = value
-        bad = PivotBasisL2(rows=good.rows, pivot_columns=good.pivot_columns,
-                           matrices=tuple(tuple(m) for m in matrices))
+        vectors[t][at[0] * 8 + at[1], j] = value
+        bad = PivotBasisL2(rows=good.rows, rounds=tuple(
+            PivotBasis(vectors=v, pivots=r.pivots) for v, r in zip(vectors, good.rounds)
+        ))
         got = bad.max_violation()
         assert got == _max_violation_l2_loop(bad)
         if expected is None:
             assert got <= 1e-10
         else:
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_matrix_pivot_off_its_row_fails(self):
+        # the last pivot of round 1 moves to a free row, and its matrix reads
+        # exactly 1 there: every entry check still holds, but that round's
+        # staircase no longer lies in its row
+        good = build_pivot_basis_l2(_gate_basis(9, 15, 64, 32), 8)
+        last = good.rounds[1]
+        cell = min(set(range(8)) - set(good.rows)) * 8 + 6
+        vectors = last.vectors.copy()
+        vectors[cell, -1] = 1.0
+        moved = PivotBasis(vectors=vectors, pivots=(*last.pivots[:-1], cell))
+        bad = PivotBasisL2(rows=good.rows, rounds=(good.rounds[0], moved))
+        assert moved.invariants_pass()
+        assert bad.max_violation() <= 1e-10
+        assert not bad._distinct()
+        assert not bad.invariants_pass()
+        with pytest.raises(PreconditionError, match="distinct=False"):
+            bad.validate()

@@ -301,6 +301,22 @@ class TestAlsRefine:
 
         assert misfit(tensor_core._als_refine(data, start)) < 1e-2 * misfit(start)
 
+    def test_polish_holds_one_unfolding_at_a_time(self):
+        # a 6^7 tensor is 2.1 MiB; holding all seven unfoldings, five of
+        # them transposed copies, peaked at 23.2 MiB, and one at a time at 12.5
+        rng = np.random.default_rng(9)
+        factors = [rng.standard_normal((6, 16)) for _ in range(7)]
+        data = synthesize(CpDecomposition(factors, np.ones(16))).data
+        data = data + 1e-6 * rng.standard_normal(data.shape)
+        start = [f + 1e-3 * rng.standard_normal(f.shape) for f in factors]
+        tracemalloc.start()
+        try:
+            tensor_core._als_refine(data, start)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.6 * 2**20
+
 
 class TestFlattenToOrder3:
     def test_singleton_groups_identity(self):
