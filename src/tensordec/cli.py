@@ -33,6 +33,7 @@ from .power_method import PowerConfig, _symmetrize, deflate_decompose, whiten
 from .seeding import TAG_LAB, TAG_NOISE, derive_rng
 from .smoothed_lab import (
     _check_budget,
+    _int_text,
     build_pivot_basis,
     build_pivot_basis_l2,
     kr_sigma_experiment,
@@ -331,7 +332,7 @@ def cmd_lab_pivot(args, seed, mapper):
         raise PreconditionError(f"--n must be at least 1, got {n}")
     ambient = n if args.order == 1 else n * n
     if not 1 <= dim <= ambient:
-        raise PreconditionError(f"--dim must lie in [1, {ambient}]")
+        raise PreconditionError(f"--dim must lie in [1, {_int_text(ambient)}]")
     _check_budget(ambient * dim, "a pivot basis (n^l * dim)")
     rng = derive_rng(seed, TAG_LAB, 0)
     basis, _ = np.linalg.qr(rng.standard_normal((ambient, dim)))

@@ -27,6 +27,7 @@ One assignment, ``_bottleneck_assignment``, pairs found items with true ones
 for both ``match_terms`` (rank-one terms) and ``match_columns`` (columns).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -252,11 +253,17 @@ def _bottleneck_assignment(cost):
 def _term_distances(found, truth):
     """k x k Frobenius distances between the terms of two decompositions, from
     the factor Gram matrices: ``<a_i, b_j> = w_i v_j prod_m (F_m^T G_m)_ij``
-    (Kolda & Bader 2009). Exact only to about ``sqrt(eps) max|w|``."""
+    (Kolda & Bader 2009). Exact only to about ``sqrt(eps) max|w|``. Both
+    sides' norms are divided by one power of two near the largest before
+    squaring, so norms past ``sqrt(max float)`` do not overflow; the scaling
+    is exact and leaves the costs' bits as they are."""
     w, v = (d.weights * np.prod([np.linalg.norm(f, axis=0) for f in d.factors], axis=0)
             for d in (found, truth))
+    _, exp = math.frexp(np.max(np.abs(np.concatenate([w, v])), initial=0.0))
+    w, v = np.ldexp(w, -exp), np.ldexp(v, -exp)
     inner = np.prod([f.T @ g for f, g in zip(found.factors, truth.factors)], axis=0)
-    return np.sqrt(np.maximum(np.add.outer(w**2, v**2) - 2.0 * np.outer(w, v) * inner, 0.0))
+    cost = np.sqrt(np.maximum(np.add.outer(w**2, v**2) - 2.0 * np.outer(w, v) * inner, 0.0))
+    return np.ldexp(cost, exp)
 
 
 def match_terms(found, truth):

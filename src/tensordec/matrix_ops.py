@@ -2,8 +2,8 @@
 
 Everything here defers the numerics to LAPACK via numpy; the value added is
 fixed conventions (relative rank cutoffs, unit eigenvectors) and the
-leave-one-out distance, which is a column-wise projection quantity rather
-than a stock kernel. ``_split_rank_one`` is the one rank-one split of the
+leave-one-out distance, read off one SVD through the row norms of the
+pseudoinverse. ``_split_rank_one`` is the one rank-one split of the
 package: Jennrich's step 4 and the unflatten of fused modes both call it.
 """
 
@@ -42,19 +42,14 @@ def _split_rank_one(blocks):
     return u[:, :, 0].T, s[:, 0], vh[:, 0, :].T, np.linalg.norm(s[:, 1:], axis=1)
 
 
-def _basis_rank(s, shape):
-    """Count of singular values above ``max(s) * eps * max(shape)``, the
-    cutoff of SciPy's ``null_space`` and ``orth``."""
-    tol = np.amax(s, initial=0.0) * (np.finfo(np.float64).eps * max(shape))
-    return int(np.count_nonzero(s > tol))
-
-
 def _null_space(a):
-    """Orthonormal basis of the null space of ``a``, one column per
-    singular direction at or below the :func:`_basis_rank` cutoff."""
+    """Orthonormal basis of the null space of ``a``, one column per singular
+    direction at or below ``max(s) * eps * max(shape)``, the cutoff of
+    SciPy's ``null_space``."""
     a = _as_matrix(a, "null_space")
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    return vh[_basis_rank(s, a.shape) :].T
+    tol = np.amax(s, initial=0.0) * (np.finfo(np.float64).eps * max(a.shape))
+    return vh[np.count_nonzero(s > tol) :].T
 
 
 def pseudoinverse(m):
@@ -95,25 +90,17 @@ def condition_number(m):
 def leave_one_out(m):
     """min over columns i of the distance from column i to span(the rest).
 
-    The projection uses an orthonormal basis of the other columns (computed
-    stably from their SVD), never the normal equations. For a single column
-    the span of "the rest" is trivial and the answer is that column's norm.
+    That distance is ``1 / norm(row i of pinv(m))`` for full column rank
+    (Rudelson & Vershynin 2009), so one SVD gives every column's: row i of
+    the pseudoinverse has the norm of ``vh[:, i] / s``. Both are scaled by
+    the smallest singular value, which keeps tiny and huge matrices finite.
+    More columns than rows, or a zero singular value, give 0.
     """
     m = _as_matrix(m, "leave_one_out")
     n, k = m.shape
-    best = np.inf
-    for i in range(k):
-        col = m[:, i]
-        if k == 1:
-            dist = float(np.linalg.norm(col))
-        else:
-            rest = np.delete(m, i, axis=1)
-            u, s, _ = np.linalg.svd(rest, full_matrices=False)
-            basis = u[:, : _basis_rank(s, rest.shape)]
-            if basis.shape[1] == 0:
-                dist = float(np.linalg.norm(col))
-            else:
-                resid = col - basis @ (basis.T @ col)
-                dist = float(np.linalg.norm(resid))
-        best = min(best, dist)
-    return best
+    if k > n:
+        return 0.0
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    if s[-1] == 0.0:
+        return 0.0
+    return float(s[-1] / np.linalg.norm(vh * (s[-1] / s)[:, None], axis=0).max())

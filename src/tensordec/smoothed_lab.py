@@ -49,6 +49,12 @@ def perturb_matrix(base, rho, rng):
     return base + rng.normal(0.0, rho / np.sqrt(n), base.shape)
 
 
+def _int_text(x):
+    """An int for a message: exact below 10^15, else "about 10^D", D its
+    rounded logarithm, since ``str()`` refuses an int past 4300 digits."""
+    return str(x) if x < 10**15 else f"about 10^{round(math.log10(x))}"
+
+
 def _check_rho(rho, order, n=None):
     """PreconditionError unless rho is positive and finite and ``rho**order``
     fits in float64. Given n, also unless the lab's smallest threshold scale,
@@ -63,13 +69,15 @@ def _check_rho(rho, order, n=None):
         raise PreconditionError(f"rho^order overflows: rho={rho}, order={order}") from None
     if n is not None and order * (math.log(rho) - math.log(n)) < _LOG_TINY:
         raise PreconditionError(
-            f"rho^order / n^order underflows float64: rho={rho}, n={n}, order={order}"
+            f"rho^order / n^order underflows float64: rho={rho}, n={_int_text(n)}, order={order}"
         )
 
 
 def _check_budget(entries, what):
     if entries > _ELEMENT_BUDGET:
-        raise PreconditionError(f"{what} of {entries} entries exceeds {_ELEMENT_BUDGET}")
+        raise PreconditionError(
+            f"{what} of {_int_text(entries)} entries exceeds {_ELEMENT_BUDGET}"
+        )
 
 
 def rotation_pair_basis(n):
@@ -166,7 +174,8 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         raise PreconditionError("n, k, order, trials must all be positive")
     if k > n**order:
         raise PreconditionError(
-            f"k={k} exceeds n^order={n**order}: sigma_k is identically zero"
+            f"k={_int_text(k)} exceeds n^order={_int_text(n**order)}: "
+            "sigma_k is identically zero"
         )
     _check_budget(n**order * k, "a Khatri-Rao chain (n^order * k)")
     rho = float(rho)
@@ -231,7 +240,7 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
         dim = math.ceil(num * ambient / den)
     except (OverflowError, ValueError):
         raise PreconditionError(
-            f"delta * n^order must be finite, got {delta} * {ambient}"
+            f"delta * n^order must be finite, got {delta} * {_int_text(ambient)}"
         ) from None
     if dim < 1:
         raise PreconditionError("delta * n^order must be at least 1")

@@ -186,16 +186,9 @@ def khatri_rao(a, b):
 
     For ``a`` of shape (m, k) and ``b`` of shape (n, k), returns the
     (m*n, k) matrix whose column ``i`` is the row-major flattening of the
-    outer product ``a[:, i] (x) b[:, i]``.
+    outer product ``a[:, i] (x) b[:, i]``. The callers pass 2-D float64
+    matrices with equal column counts.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise PreconditionError("khatri_rao takes 2-D factor matrices")
-    if a.shape[1] != b.shape[1]:
-        raise PreconditionError(
-            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
-        )
     m, k = a.shape
     n = b.shape[0]
     return (a[:, None, :] * b[None, :, :]).reshape(m * n, k)

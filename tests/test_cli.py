@@ -481,6 +481,18 @@ class TestEval:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("weight", [1e200, 1e160, -1e160])
+    def test_large_weight_matches_itself(self, tmp_path, weight):
+        # squared term norms past float64 must not turn the costs into NaN
+        term = CpDecomposition([np.array([[1.0], [0.0]]), np.array([[0.6], [0.8]])],
+                               [weight])
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(decomposition_to_dict(term)))
+        code, out = run(tmp_path, "eval", "--found", str(path), "--truth", str(path))
+        assert code == 0
+        assert read_json(out / "report.json")["max_error"] == 0.0
+
+
 class TestLearn:
     def test_gmm_acceptance_flavor(self, tmp_path):
         code, out = run(tmp_path, "learn", "gmm", "--k", "3", "--n", "8",
@@ -682,6 +694,33 @@ class TestLab:
                         "--delta", delta, "--rho", "1e150", "--trials", "1")
         assert code == 4
         assert "projection basis" in capsys.readouterr().err
+        assert not out.exists()
+
+    _HUGE = "1" + "0" * 2200
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kr-sigma", "--n", _HUGE, "--k", "2", "--l", "2"],
+            ["pivot", "--l", "2", "--n", _HUGE, "--dim", "1"],
+            ["pivot", "--l", "2", "--n", _HUGE, "--dim", "0"],
+            ["projection", "--n", str(10**155), "--l", "2", "--delta", "1e-200",
+             "--rho", "1e150"],
+            ["projection", "--n", str(10**155), "--l", "2", "--delta", "0.5",
+             "--rho", "1e150"],
+        ],
+        ids=["kr-sigma", "pivot-dim-1", "pivot-dim-0", "projection-budget",
+             "projection-finite"],
+    )
+    def test_huge_integers_exit_4_with_a_short_line(self, tmp_path, capsys, argv):
+        # n^l is far past 4300 digits or too long to read: the message gives
+        # its power of ten instead
+        trials = [] if argv[0] == "pivot" else ["--trials", "1"]
+        code, out = run(tmp_path, "lab", *argv, *trials)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 120
+        assert "about 10^" in err
         assert not out.exists()
 
     def test_projection_basis_over_budget_exits_4(self, tmp_path):

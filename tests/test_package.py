@@ -120,7 +120,7 @@ def test_decomposer_helpers_leave_input_checks_to_their_callers():
         for node in ast.parse((package / name).read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
-    helpers = ("flatten_to_order3", "slice_combination", "default_plan",
+    helpers = ("flatten_to_order3", "slice_combination", "khatri_rao", "default_plan",
                "unflatten_rank_one")
     raising = [name for name in helpers
                if any(isinstance(node, ast.Raise) for node in ast.walk(defs[name]))]
@@ -194,3 +194,19 @@ def test_both_pivot_constructions_share_one_staircase_check():
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
     }
     assert not defined & {"pivot_columns", "matrices", "row_counts"}
+
+
+def test_leave_one_out_reads_every_column_off_one_svd():
+    # the distances are the inverse row norms of the pseudoinverse, so one
+    # SVD serves all columns and no loop projects them one at a time
+    tree = ast.parse((_ROOT / "src" / "tensordec" / "matrix_ops.py").read_text())
+    loo = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "leave_one_out"
+    )
+    svds = [node.lineno for node in ast.walk(loo)
+            if isinstance(node, ast.Attribute) and node.attr == "svd"]
+    assert len(svds) == 1
+    assert not any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(loo))
+    assert "_basis_rank" not in {node.name for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)}

@@ -19,6 +19,7 @@ from tensordec import (
 from tensordec.smoothed_lab import (
     PivotBasis,
     PivotBasisL2,
+    _int_text,
     perturb_matrix,
     rotation_pair_basis,
 )
@@ -331,6 +332,17 @@ class TestStackedTrials:
             # each pool task is one block, and each block one stacked call
             assert calls_per_task == [1] * -(-self.TRIALS // 3)
             assert bounded.tobytes() == unbounded.tobytes()
+
+
+class TestIntText:
+    def test_exact_below_ten_to_the_fifteen(self):
+        assert _int_text(4194304) == "4194304"
+        assert _int_text(10**15 - 1) == "999999999999999"
+
+    @pytest.mark.parametrize("power", [15, 310, 512, 4400])
+    def test_power_of_ten_beyond(self, power):
+        assert _int_text(10**power) == f"about 10^{power}"
+        assert _int_text(2 * 10**power) == f"about 10^{power}"
 
 
 class TestProjectionExperiment:
