@@ -364,6 +364,15 @@ def _positive_int(text):
     return value
 
 
+def _count(text):
+    """An int flag that sizes an array. Past 2^63 - 1 no array can hold it,
+    and the MemoryError, raised through the parser, exits 4."""
+    value = int(text)
+    if value > np.iinfo(np.intp).max:
+        raise MemoryError(f"a count of {_int_text(value)} exceeds the largest array size")
+    return value
+
+
 def _nonnegative_int(text):
     value = int(text)
     if value < 0:
@@ -407,7 +416,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a random instance and its tensor")
     p.add_argument("--shape", required=True, help="comma-separated mode sizes")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_count, required=True)
     p.add_argument("--model", choices=["exact", "smoothed", "orthogonal-symmetric"],
                    default="exact",
                    help="orthogonal-symmetric: a cubic order-3 tensor with one shared "
@@ -449,8 +458,8 @@ def build_parser():
 
     p = lsub.add_parser("gmm", help="uniform spherical mixture")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--method", choices=["jennrich", "power"], default="power")
     p.add_argument("--norm", type=float, default=5.0,
                    help="norm of the orthogonal true means")
@@ -460,8 +469,8 @@ def build_parser():
 
     p = lsub.add_parser("hmm", help="hidden Markov chain with Gaussian noise")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
+    p.add_argument("--samples", type=_count, required=True)
     p.add_argument("--window", type=int, default=3)
     p.add_argument("--noise", type=_nonnegative_float, default=0.0,
                    help="observation noise scale")
@@ -477,7 +486,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, dest="order", required=True)
     p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--base", choices=["zero", "adversarial-basis"], default="zero")
     _add_common(p, threads=True)
     p.set_defaults(func=cmd_lab_kr_sigma, name="lab kr-sigma")
@@ -487,7 +496,7 @@ def build_parser():
     p.add_argument("--l", type=int, dest="order", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--subspace", choices=["gaussian", "coordinate"],
                    default="gaussian")
     p.add_argument("--base-point", choices=["zero", "ones"], default="zero")
@@ -531,11 +540,11 @@ def _manifest(args, seed, inputs, outputs, wall_time):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    seed = _resolve_seed(args, parser)
-    threads = getattr(args, "threads", 1)
     started = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
+        seed = _resolve_seed(args, parser)
+        threads = getattr(args, "threads", 1)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 outputs, inputs = args.func(args, seed, pool.map)

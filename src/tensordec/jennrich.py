@@ -279,12 +279,19 @@ def match_terms(found, truth):
     if found.rank != truth.rank:
         raise PreconditionError(f"rank mismatch: {found.rank} vs {truth.rank}")
 
-    def dense_term(d, i):
-        return _cp_dense([f[:, i : i + 1] for f in d.factors], d.weights[i : i + 1]).data
+    def dense_term(d, i, exp):
+        return _cp_dense([f[:, i : i + 1] for f in d.factors],
+                         np.ldexp(d.weights[i : i + 1], -exp)).data
+
+    def distance(i, j):
+        # both terms over a power of two near the larger weight (the columns
+        # are unit): exact, and no squared entry overflows in the norm
+        _, exp = math.frexp(max(abs(found.weights[i]), abs(truth.weights[j])))
+        return float(np.ldexp(np.linalg.norm(dense_term(found, i, exp)
+                                             - dense_term(truth, j, exp)), exp))
 
     perm, _, _ = _bottleneck_assignment(_term_distances(found, truth))
-    errors = [float(np.linalg.norm(dense_term(found, i) - dense_term(truth, j)))
-              for i, j in enumerate(perm)]
+    errors = [distance(i, j) for i, j in enumerate(perm)]
     return RecoveryReport(
         condition_numbers=[_safe_kappa(f) for f in found.factors],
         permutation=perm,

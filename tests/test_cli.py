@@ -323,6 +323,20 @@ class TestDecompose:
         assert code == 0
         assert read_json(out / "report.json")["max_error"] < 1e-5
 
+    def test_stalled_power_method_exits_3(self, tmp_path, capsys, monkeypatch):
+        from tensordec import power_method
+
+        monkeypatch.setattr(power_method, "_MAX_ITERS", 1)
+        _, synth_out = run(tmp_path / "s", "synth", "--shape", "6,6,6", "--rank", "3",
+                           "--model", "orthogonal-symmetric", "--seed", "1")
+        code, out = run(tmp_path / "d", "decompose",
+                        "--input", str(synth_out / "tensor.tnsr"),
+                        "--method", "power", "--rank", "3")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "did not settle in 1 steps" in err and "last_step" in err
+        assert not out.exists()
+
     def test_power_requires_rank(self, tmp_path):
         _, synth_out = run(tmp_path / "s", "synth", "--shape", "4,4,4",
                            "--rank", "2", "--seed", "10")
@@ -491,6 +505,21 @@ class TestEval:
         code, out = run(tmp_path, "eval", "--found", str(path), "--truth", str(path))
         assert code == 0
         assert read_json(out / "report.json")["max_error"] == 0.0
+
+
+    def test_huge_distinct_weights_give_a_finite_error(self, tmp_path):
+        # the dense pair norm is taken over a power of two, so 1e160 terms do
+        # not square to inf and report.json stays valid JSON
+        factors = [np.array([[1.0], [0.0]]), np.array([[0.6], [0.8]])]
+        for name, weight in (("found", 1e160), ("truth", 2e160)):
+            term = CpDecomposition(factors, [weight])
+            (tmp_path / f"{name}.json").write_text(json.dumps(decomposition_to_dict(term)))
+        code, out = run(tmp_path, "eval", "--found", str(tmp_path / "found.json"),
+                        "--truth", str(tmp_path / "truth.json"))
+        assert code == 0
+        text = (out / "report.json").read_text()
+        report = json.loads(text, parse_constant=pytest.fail)
+        assert report["max_error"] == pytest.approx(1e160, rel=1e-12)
 
 
 class TestLearn:
@@ -791,6 +820,29 @@ class TestOutOfMemory:
         code, out = run(tmp_path, *argv)
         assert code == 4
         assert "does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    _PAST_INT64 = str(10**20)
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--shape", "4,4,4,4,4", "--model", "smoothed", "--rank", _PAST_INT64],
+        ["learn", "gmm", "--k", "3", "--n", _PAST_INT64, "--samples", "100"],
+        ["learn", "gmm", "--k", "3", "--n", "8", "--samples", _PAST_INT64],
+        ["learn", "hmm", "--k", "3", "--n", _PAST_INT64, "--samples", "100"],
+        ["learn", "hmm", "--k", "3", "--n", "6", "--samples", _PAST_INT64],
+        ["lab", "kr-sigma", "--n", "4", "--k", "4", "--l", "2", "--trials", _PAST_INT64],
+        ["lab", "projection", "--n", "4", "--l", "1", "--delta", "0.5",
+         "--trials", _PAST_INT64],
+    ], ids=["synth-rank", "gmm-n", "gmm-samples", "hmm-n", "hmm-samples",
+            "kr-sigma-trials", "projection-trials"])
+    def test_count_past_int64_exits_4(self, tmp_path, capsys, argv):
+        # no array dimension can exceed 2^63 - 1: the count is refused where
+        # it enters, before numpy is asked for the array
+        code, out = run(tmp_path, *argv)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "does not fit in memory" in err and "about 10^20" in err
         assert not out.exists()
 
 

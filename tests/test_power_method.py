@@ -1,5 +1,6 @@
-"""Symmetric power iteration with deflation, and whitening."""
+"""Simultaneous symmetric power iteration, and whitening."""
 
+import json
 import time
 
 import numpy as np
@@ -34,53 +35,39 @@ def _sym3(n, rng):
     return DenseTensor(out / 6.0)
 
 
-def _reference_run(arr, z, max_iters):
-    """One restart, one contraction at a time: ``(z, converged, steps)``."""
-    for steps in range(1, max_iters + 1):
-        u = np.einsum("ijk,j,k->i", arr, z, z)
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-14:
-            return z, False, steps
-        z_next = u / norm
-        step = float(np.linalg.norm(z_next - z))
-        z = z_next
-        if step < 1e-12:
-            return z, True, steps
-    return z, False, max_iters
+def _gram_schmidt(u):
+    """Modified Gram-Schmidt, one column at a time: the Q of a QR whose R has
+    a positive diagonal."""
+    q = np.array(u, dtype=float)
+    for r in range(q.shape[1]):
+        for j in range(r):
+            q[:, r] -= (q[:, j] @ q[:, r]) * q[:, j]
+        q[:, r] /= np.linalg.norm(q[:, r])
+    return q
 
 
-def _reference_decompose(t, k, seed=0, max_iters=500):
-    """Reference for the lockstep rounds: the restarts of each round run one
-    after another, from the columns of the round's (n, 10) block of the
-    call's one ``(seed, TAG_POWER)`` stream.
-    Returns ``(lambdas, vectors, residual, steps per round)``."""
-    arr = t.data.copy()
+def _reference_decompose(t, k, seed):
+    """Reference for the simultaneous iteration: each column contracted on its
+    own, and Gram-Schmidt in place of QR, from the call's one (n, k) block
+    of the ``(seed, TAG_POWER)`` stream.
+    Returns ``(lambdas, vectors, residual, steps)``."""
+    arr = t.data
     n = arr.shape[0]
-    rng = derive_rng(seed, TAG_POWER)
-    lambdas, vectors, round_steps = [], [], []
-    for _ in range(k):
-        block = rng.standard_normal((n, 10))
-        best = None
-        steps = []
-        for restart in range(10):
-            z0 = block[:, restart]
-            z, converged, used = _reference_run(arr, z0 / np.linalg.norm(z0), max_iters)
-            steps.append(used)
-            if not converged:
-                continue
-            lam = float(z @ np.einsum("ijk,j,k->i", arr, z, z))
-            if best is None or abs(lam) > abs(best[0]):
-                best = (lam, z)
-        lam, z = best
-        arr -= lam * np.einsum("i,j,k->ijk", z, z, z)
-        lambdas.append(lam)
-        vectors.append(z)
-        round_steps.append(steps)
-    lambdas = np.array(lambdas)
+    z = _gram_schmidt(derive_rng(seed, TAG_POWER).standard_normal((n, k)))
+    for steps in range(1, 501):
+        q = _gram_schmidt(np.column_stack(
+            [np.einsum("ijk,j,k->i", arr, z[:, r], z[:, r]) for r in range(k)]))
+        step = max(float(np.linalg.norm(q[:, r] - z[:, r])) for r in range(k))
+        z = q
+        if step < 1e-12:
+            break
+    lambdas = np.array([z[:, r] @ np.einsum("ijk,j,k->i", arr, z[:, r], z[:, r])
+                        for r in range(k)])
+    signs = np.where(lambdas < 0, -1.0, 1.0)
     order = np.argsort(-np.abs(lambdas), kind="stable")
-    signs = np.where(lambdas[order] < 0, -1.0, 1.0)
-    vectors = np.column_stack(vectors)[:, order] * signs
-    return lambdas[order] * signs, vectors, float(np.linalg.norm(arr.ravel())), round_steps
+    lambdas, vectors = (lambdas * signs)[order], (z * signs)[:, order]
+    rebuilt = np.einsum("r,ir,jr,kr->ijk", lambdas, vectors, vectors, vectors)
+    return lambdas, vectors, float(np.linalg.norm((arr - rebuilt).ravel())), steps
 
 
 def _whitened_gmm_moment(n, k, samples, seed):
@@ -90,11 +77,12 @@ def _whitened_gmm_moment(n, k, samples, seed):
 
 class TestDeflateDecompose:
     def test_zero_tensor_raises(self):
-        # every start collapses to a zero contraction, so no run converges
+        # every column's contraction is zero, so R's whole diagonal vanishes
         t = DenseTensor(np.zeros((3, 3, 3)))
         with pytest.raises(DegeneracyError) as exc_info:
             deflate_decompose(t, 1)
-        assert exc_info.value.diagnostics == {"round": 0, "restarts": 10}
+        assert exc_info.value.diagnostics == {"steps": 1, "column": 0}
+        json.dumps(exc_info.value.diagnostics, allow_nan=False)
 
     def test_rejects_asymmetric(self):
         arr = np.zeros((3, 3, 3))
@@ -163,14 +151,14 @@ class TestDeflateDecompose:
         assert np.allclose(od_a.vectors, od_b.vectors, atol=1e-8)
 
 
-class TestLockstepRestarts:
-    """The restarts of a round advance together and agree with running
-    them one after another."""
+class TestSimultaneousIteration:
+    """All k columns step together, one contraction and one QR per step, and
+    agree with stepping them one column at a time."""
 
     @staticmethod
-    def _assert_matches_reference(t, k, seed, max_iters=500):
+    def _assert_matches_reference(t, k, seed):
         od, residual = deflate_decompose(t, k, PowerConfig(seed=seed))
-        lambdas, vectors, ref_residual, _ = _reference_decompose(t, k, seed, max_iters)
+        lambdas, vectors, ref_residual, _ = _reference_decompose(t, k, seed)
         assert np.max(np.abs(od.lambdas - lambdas)) <= 1e-12
         assert np.max(np.abs(od.vectors - vectors)) <= 1e-12
         assert abs(residual - ref_residual) <= 1e-12
@@ -191,77 +179,48 @@ class TestLockstepRestarts:
         t = _whitened_gmm_moment(n, k, 20_000, seed=n)
         self._assert_matches_reference(t, k, seed=n)
 
-    def test_short_step_budget_matches_reference(self, monkeypatch):
-        # at 8 steps some restarts of a round run out: only converged runs
-        # may win, whatever their lambdas
-        monkeypatch.setattr(power_method, "_MAX_ITERS", 8)
-        t = synthesize(random_orthogonal_symmetric(16, 8, seed=32))
-        self._assert_matches_reference(t, 8, seed=2, max_iters=8)
+    def test_one_contraction_and_one_qr_per_step(self, monkeypatch):
+        # every step contracts all k columns in one call; the QRs are the
+        # start's and one per step, the contractions one per step and one
+        # for the lambdas
+        t = synthesize(random_orthogonal_symmetric(16, 8, seed=24))
+        contractions, qrs = [], []
+        contract, qr = power_method._contract, np.linalg.qr
+
+        def counting_contract(arr, z):
+            contractions.append(z.shape[1])
+            return contract(arr, z)
+
+        def counting_qr(a):
+            qrs.append(a.shape)
+            return qr(a)
+
+        monkeypatch.setattr(power_method, "_contract", counting_contract)
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        deflate_decompose(t, 8, PowerConfig(seed=5))
+        steps = len(contractions) - 1
+        assert set(contractions) == {8}
+        assert qrs == [(16, 8)] * (steps + 1)
+        assert abs(steps - _reference_decompose(t, 8, seed=5)[3]) <= 1
+        assert steps <= 20
 
     def test_step_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(power_method, "_MAX_ITERS", 1)
         t = synthesize(random_orthogonal_symmetric(6, 3, seed=23))
         with pytest.raises(DegeneracyError) as exc_info:
             deflate_decompose(t, 3)
-        assert exc_info.value.diagnostics == {"round": 0, "restarts": 10}
+        diagnostics = exc_info.value.diagnostics
+        assert set(diagnostics) == {"steps", "last_step"}
+        assert diagnostics["steps"] == 1 and diagnostics["last_step"] >= 1e-12
+        json.dumps(diagnostics, allow_nan=False)
 
-    def test_one_contraction_per_lockstep_step(self, monkeypatch):
-        # a round costs as many contractions as its longest restart has
-        # steps (plus one for the lambdas), not the sum over its restarts
-        t = synthesize(random_orthogonal_symmetric(16, 8, seed=24))
-        calls = []
-        contract = power_method._contract
-
-        def counting(arr, z):
-            calls.append(z.shape[1])
-            return contract(arr, z)
-
-        monkeypatch.setattr(power_method, "_contract", counting)
-        deflate_decompose(t, 1, PowerConfig(seed=5))
-        steps = _reference_decompose(t, 1, seed=5)[3][0]
-        assert set(calls) == {10}
-        assert max(steps) <= len(calls) <= max(steps) + 2
-        assert len(calls) < sum(steps) / 4
-
-
-    def test_vanished_restarts_never_win(self, monkeypatch):
-        # half the starts lie in span(e_2..e_5), orthogonal to both terms of
-        # a diagonal tensor, so their contraction is exactly zero in every
-        # round; the round must end when the other half converge, with one
-        # of those as its winner
-        arr = np.zeros((6, 6, 6))
-        arr[0, 0, 0], arr[1, 1, 1] = 3.0, 2.0
-        t = DenseTensor(arr)
-        block = np.random.default_rng(27).standard_normal((6, 10))
-        block[:2, ::2] = 0.0
-
-        class FixedStarts:
-            def standard_normal(self, shape):
-                return block.copy()
-
-        def fixed(*key):
-            return FixedStarts()
-
-        calls = []
-        contract = power_method._contract
-
-        def counting(arr, z):
-            calls.append(z.shape[1])
-            return contract(arr, z)
-
-        monkeypatch.setattr(power_method, "derive_rng", fixed)
-        monkeypatch.setattr(power_method, "_contract", counting)
-        # the reference draws its starts through this module's name
-        monkeypatch.setitem(globals(), "derive_rng", fixed)
-        od, residual = deflate_decompose(t, 2)
-        lambdas, vectors, ref_residual, round_steps = _reference_decompose(t, 2)
-        assert all(steps[::2] == [1] * 5 for steps in round_steps)
-        assert len(calls) == sum(max(steps) + 1 for steps in round_steps)
-        assert np.allclose(np.linalg.norm(od.vectors, axis=0), 1.0, atol=1e-12)
-        assert np.max(np.abs(od.lambdas - lambdas)) <= 1e-12
-        assert np.max(np.abs(od.vectors - vectors)) <= 1e-12
-        assert abs(residual - ref_residual) <= 1e-12
-        assert np.allclose(od.lambdas, [3.0, 2.0], atol=1e-12)
+    def test_rank_below_k_raises(self):
+        # a rank-2 tensor asked for 3 terms: the third column's contraction
+        # lies in the span of the first two, so R's third diagonal vanishes
+        t = synthesize(random_orthogonal_symmetric(6, 2, seed=28))
+        with pytest.raises(DegeneracyError) as exc_info:
+            deflate_decompose(t, 3)
+        assert exc_info.value.diagnostics == {"steps": 1, "column": 2}
 
 
 class TestOneStreamPerCall:
