@@ -26,14 +26,14 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DegeneracyError, FormatError, PreconditionError
-from .jennrich import JennrichConfig, RecoveryReport, jennrich_decompose, match_terms
+from .jennrich import JennrichConfig, RecoveryReport, _safe_kappa, jennrich_decompose, match_terms
 from .moment_learners import gmm_learn, gmm_sample, hmm_learn, hmm_sample
 from .overcomplete import FlatteningPlan, overcomplete_decompose
 from .power_method import PowerConfig, _symmetrize, deflate_decompose, whiten
-from .seeding import TAG_LAB, TAG_NOISE, derive_rng
+from .seeding import TAG_LAB, TAG_NOISE, derive_rng  # noqa: F401 (perfbench reads TAG_LAB)
 from .smoothed_lab import (
-    _check_budget,
     _int_text,
+    _subspace_basis,
     build_pivot_basis,
     build_pivot_basis_l2,
     kr_sigma_experiment,
@@ -229,6 +229,7 @@ def cmd_eval(args, seed, mapper):
     truth = read_decomposition(args.truth)
     inputs = [args.found, args.truth]
     report = match_terms(found, truth)
+    report.condition_numbers = [_safe_kappa(f) for f in found.factors]
     tensor = None
     if args.tensor:
         tensor = read_tnsr(args.tensor)
@@ -330,12 +331,7 @@ def cmd_lab_pivot(args, seed, mapper):
     n, dim = args.n, args.dim
     if n < 1:
         raise PreconditionError(f"--n must be at least 1, got {n}")
-    ambient = n if args.order == 1 else n * n
-    if not 1 <= dim <= ambient:
-        raise PreconditionError(f"--dim must lie in [1, {_int_text(ambient)}]")
-    _check_budget(ambient * dim, "a pivot basis (n^l * dim)")
-    rng = derive_rng(seed, TAG_LAB, 0)
-    basis, _ = np.linalg.qr(rng.standard_normal((ambient, dim)))
+    basis = _subspace_basis(n, args.order, dim, seed, "a pivot basis (n^l * dim)")
     if args.order == 1:
         pivot = build_pivot_basis(basis)
         payload = {"pivots": list(pivot.pivots), "vectors": _columns(pivot.vectors)}
@@ -471,7 +467,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=_count, required=True)
     p.add_argument("--samples", type=_count, required=True)
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--window", type=_count, default=3)
     p.add_argument("--noise", type=_nonnegative_float, default=0.0,
                    help="observation noise scale")
     p.add_argument("--dump-samples", action="store_true")

@@ -80,20 +80,16 @@ class RecoveryReport:
 
 
 def _min_pairwise_gap(values):
-    k = values.shape[0]
-    if k < 2:
-        return float("inf")
+    """Smallest distance between two of the values; inf for fewer than two."""
     diff = np.abs(values[:, None] - values[None, :])
-    return float(np.min(diff[~np.eye(k, dtype=bool)]))
+    return float(np.min(diff[~np.eye(values.shape[0], dtype=bool)], initial=np.inf))
 
 
 def _safe_kappa(f):
-    """Column condition number, or None for wide matrices (k > rows)."""
-    if f.shape[1] == 0:
-        return None
-    if f.shape[1] > f.shape[0]:
-        return None
-    return condition_number(f)
+    """Column condition number, or None where it is no finite number: for
+    an empty or wide (k > rows) matrix, and for a singular one."""
+    kappa = condition_number(f) if 0 < f.shape[1] <= f.shape[0] else math.inf
+    return kappa if math.isfinite(kappa) else None
 
 
 def _phase_aligned_real(columns):
@@ -166,7 +162,7 @@ def jennrich_decompose(t, config=None):
         decomposition = CpDecomposition([u_mat, v_mat, w_mat], sigma)
         report = RecoveryReport(
             condition_numbers=[_safe_kappa(f) for f in decomposition.factors],
-            eigenvalue_min_gap=gap,
+            eigenvalue_min_gap=gap if k > 1 else None,  # omit inf, no JSON number
             eigenvalue_min_magnitude=mag,
             max_split_residual=float(np.max(tail / sigma)),
             max_imag_part=imag,
@@ -272,7 +268,8 @@ def match_terms(found, truth):
     The assignment minimizes the largest :func:`_term_distances` entry, so it
     ignores scaling and sign choices (both sides are canonical); each reported
     error is the dense distance of a matched pair, built by the kernel of
-    ``synthesize``. Ranks must agree.
+    ``synthesize``. Ranks must agree. The report holds only the permutation
+    and the errors.
     """
     if found.shape != truth.shape:
         raise PreconditionError(f"shape mismatch: {found.shape} vs {truth.shape}")
@@ -293,7 +290,6 @@ def match_terms(found, truth):
     perm, _, _ = _bottleneck_assignment(_term_distances(found, truth))
     errors = [distance(i, j) for i, j in enumerate(perm)]
     return RecoveryReport(
-        condition_numbers=[_safe_kappa(f) for f in found.factors],
         permutation=perm,
         per_term_errors=errors,
         max_error=max(errors, default=0.0),

@@ -80,6 +80,20 @@ def _check_budget(entries, what):
         )
 
 
+def _subspace_basis(n, order, dim, seed, what, coordinate=False):
+    """Orthonormal (n^order, dim) basis of a subspace: the first ``dim``
+    coordinate directions, or the Q of a Gaussian matrix drawn from derived
+    stream 0, the lab's set-up stream. Raises PreconditionError unless
+    1 <= dim <= n^order and the basis, called ``what``, fits the budget."""
+    ambient = n**order
+    if not 1 <= dim <= ambient:
+        raise PreconditionError(f"dim must lie in [1, {_int_text(ambient)}]")
+    _check_budget(ambient * dim, what)
+    if coordinate:
+        return np.eye(ambient, dim)
+    return np.linalg.qr(derive_rng(seed, TAG_LAB, 0).standard_normal((ambient, dim)))[0]
+
+
 def rotation_pair_basis(n):
     """Orthonormal basis of 45-degree rotations in coordinate pairs.
 
@@ -166,12 +180,14 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
     trials below c * rho^order / n^order over a log-spaced grid of c.
     Trials draw from per-trial derived streams and go to ``mapper`` in
     fixed blocks, so it may be the map of a thread pool; each block takes
-    its values from one stacked SVD. A chain of more than 2^22 entries
-    (n^order * k) is rejected.
+    its values from one stacked SVD. A chain (n^order * k) or its factors
+    (order * n * k) of more than 2^22 entries are rejected.
     """
     n, k, order, trials = int(n), int(k), int(order), int(trials)
     if n < 1 or k < 1 or order < 1 or trials < 1:
         raise PreconditionError("n, k, order, trials must all be positive")
+    # bounds order before n^order is formed: a huge order would take forever
+    _check_budget(order * n * k, "the chain's factors (order * n * k)")
     if k > n**order:
         raise PreconditionError(
             f"k={_int_text(k)} exceeds n^order={_int_text(n**order)}: "
@@ -185,7 +201,7 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         return np.linalg.svd(chains, compute_uv=False)[:, k - 1]
 
     if base == "zero":
-        bases = [np.zeros((n, k)) for _ in range(order)]
+        bases = [np.zeros((n, k))] * order
         unperturbed = None
     elif base == "adversarial-basis":
         if order != 2:
@@ -199,7 +215,8 @@ def kr_sigma_experiment(n, k, order, rho, trials, base="zero", seed=0, mapper=ma
         raise PreconditionError(f"unknown base {base!r}")
 
     def draw(rng):
-        return functools.reduce(khatri_rao, [perturb_matrix(b, rho, rng) for b in bases])
+        # one perturbed factor alive at a time, however long the chain
+        return functools.reduce(khatri_rao, (perturb_matrix(b, rho, rng) for b in bases))
 
     # one stacked SVD holds at most the element budget, and at least one chain
     stack = max(1, _ELEMENT_BUDGET // (n**order * k))
@@ -222,7 +239,8 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     bound must also survive. Base points are zero vectors or the all-ones
     direction; each trial perturbs them independently. Reported lower-tail
     fractions use thresholds c * rho^l / n^l and c * rho^l / n^(l/2).
-    A basis of more than 2^22 entries (n^order * dim) is rejected.
+    delta must lie in (0, 1]; a basis of more than 2^22 entries
+    (n^order * dim) is rejected.
     """
     n, order, trials = int(n), int(order), int(trials)
     if order not in (1, 2):
@@ -232,30 +250,17 @@ def projection_experiment(n, order, delta, rho, trials, subspace="gaussian",
     rho = float(rho)
     delta = float(delta)
     _check_rho(rho, order, n)
-    ambient = n**order
-    try:
-        # the exact product, rounded once, so a huge int ambient meets the
-        # budget below; a product beyond float64, inf and NaN all raise
-        num, den = delta.as_integer_ratio()
-        dim = math.ceil(num * ambient / den)
-    except (OverflowError, ValueError):
-        raise PreconditionError(
-            f"delta * n^order must be finite, got {delta} * {_int_text(ambient)}"
-        ) from None
-    if dim < 1:
-        raise PreconditionError("delta * n^order must be at least 1")
-    if dim > ambient:
-        raise PreconditionError("subspace dimension exceeds the ambient space")
-    _check_budget(ambient * dim, "a projection basis (n^order * dim)")
-
-    setup_rng = derive_rng(seed, TAG_LAB, 0)
-    if subspace == "gaussian":
-        g = setup_rng.standard_normal((ambient, dim))
-        basis, _ = np.linalg.qr(g)
-    elif subspace == "coordinate":
-        basis = np.eye(ambient, dim)
-    else:
+    if not 0 < delta <= 1:
+        raise PreconditionError(f"delta must lie in (0, 1], got {delta}")
+    if subspace not in ("gaussian", "coordinate"):
         raise PreconditionError(f"unknown subspace family {subspace!r}")
+    what = "a projection basis (n^order * dim)"
+    # dim >= 1, so an n^order over budget is too: checked before the product
+    _check_budget(n**order, what)
+    # the exact product, rounded once
+    num, den = delta.as_integer_ratio()
+    dim = math.ceil(num * n**order / den)
+    basis = _subspace_basis(n, order, dim, seed, what, coordinate=subspace == "coordinate")
 
     if base_point == "zero":
         base = np.zeros((n, 1))
@@ -352,7 +357,7 @@ def build_pivot_basis(basis):
     subspace to vectors vanishing there. Restriction multiplies the basis
     by orthonormal columns of a reflection, so conditioning never degrades.
     """
-    b = _orthonormal_columns(basis).copy()
+    b = _orthonormal_columns(basis)
     r = b.shape[1]
     vectors = []
     pivots = []
@@ -424,7 +429,7 @@ def build_pivot_basis_l2(basis, n):
     n = int(n)
     if n < 1:
         raise PreconditionError(f"n must be at least 1, got {n}")
-    b = _orthonormal_columns(basis).copy()
+    b = _orthonormal_columns(basis)
     if b.shape[0] != n * n:
         raise PreconditionError("basis rows must have length n*n")
     rows = []

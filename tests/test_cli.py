@@ -15,6 +15,8 @@ from tensordec import (
     CpDecomposition,
     DenseTensor,
     __version__,
+    hmm_random_params,
+    hmm_sample,
     read_decomposition,
     read_tnsr,
     synthesize,
@@ -33,6 +35,12 @@ def run(tmp_path, *argv):
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def read_strict_json(path):
+    """JSON that holds no NaN or Infinity, which the JSON grammar lacks."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=pytest.fail)
 
 
 class TestSynth:
@@ -397,6 +405,19 @@ class TestDecompose:
         assert code == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("rank", ["1", "auto"])
+    def test_rank_one_report_is_strict_json(self, tmp_path, rank):
+        # one eigenvalue has no gap to another, so the report omits the gap
+        _, synth = run(tmp_path / "s", "synth", "--shape", "8,8,8", "--rank", "1",
+                       "--seed", "4")
+        code, out = run(tmp_path / "d", "decompose", "--input", str(synth / "tensor.tnsr"),
+                        "--rank", rank, "--truth", str(synth / "truth.json"))
+        assert code == 0
+        report = read_strict_json(out / "report.json")
+        assert "eigenvalue_min_gap" not in report
+        assert len(report["condition_numbers"]) == 3
+        assert report["max_error"] < 1e-10
+
     def test_rank_deficient_slices_exit_3_naming_both_ranks(self, tmp_path, capsys):
         # every draw's M_b of a rank-3 tensor has rank 3 < 5, so no
         # eigenvalue is ever computed: the run says which ranks disagreed
@@ -432,6 +453,22 @@ class TestEval:
         assert via_eval["max_error"] == pytest.approx(
             via_decompose["max_error"], rel=1e-9
         )
+        # eval conditions the found factors, as the decomposer did
+        assert via_eval["condition_numbers"] == pytest.approx(
+            via_decompose["condition_numbers"], rel=1e-9
+        )
+
+    def test_singular_factor_writes_a_null_condition_number(self, tmp_path):
+        # two equal columns: kappa is inf, which JSON cannot hold
+        twin = CpDecomposition([np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(2)],
+                               [2.0, 1.0])
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps(decomposition_to_dict(twin)))
+        code, out = run(tmp_path, "eval", "--found", str(path), "--truth", str(path))
+        assert code == 0
+        report = read_strict_json(out / "report.json")
+        assert report["condition_numbers"] == [None, 1.0, 1.0]
+        assert report["max_error"] == 0.0
 
     def test_tensor_of_another_shape_exits_4(self, tmp_path, capsys):
         _, big = run(tmp_path / "a", "synth", "--shape", "6,6,6", "--rank", "3",
@@ -554,6 +591,23 @@ class TestLearn:
         assert code == 0
         samples = read_tnsr(str(out / "samples.tnsr"))
         assert samples.shape == (1000, 4)
+
+    def test_hmm_dump_samples(self, tmp_path):
+        code, out = run(tmp_path, "learn", "hmm", "--k", "2", "--n", "3",
+                        "--samples", "500", "--window", "5", "--noise", "0.1",
+                        "--seed", "21", "--dump-samples")
+        assert code == 0
+        samples = read_tnsr(str(out / "samples.tnsr"))
+        assert samples.shape == (500, 5, 3)
+        params = hmm_random_params(3, 2, seed=21, noise_scale=0.1)
+        np.testing.assert_array_equal(samples.data, hmm_sample(params, 500, window=5, seed=21))
+
+    def test_hmm_single_state_report_is_strict_json(self, tmp_path):
+        code, out = run(tmp_path, "learn", "hmm", "--k", "1", "--n", "4",
+                        "--samples", "20000")
+        assert code == 0
+        report = read_strict_json(out / "params.json")["report"]
+        assert "eigenvalue_min_gap" not in report
 
     def test_hmm_run(self, tmp_path):
         code, out = run(tmp_path, "learn", "hmm", "--k", "3", "--n", "6",
@@ -718,7 +772,8 @@ class TestLab:
     @pytest.mark.parametrize("delta", ["1e-200", "1e-320"])
     def test_projection_huge_n_finite_product_over_budget_exits_4(self, tmp_path, capsys,
                                                                    delta):
-        # delta * n^2 is finite (1e110 or 1e-10), so the basis size rejects it
+        # delta * n^2 is finite (1e110 or 1e-10), but n^2 alone is over the
+        # basis budget
         code, out = run(tmp_path, "lab", "projection", "--n", str(10**155), "--l", "2",
                         "--delta", delta, "--rho", "1e150", "--trials", "1")
         assert code == 4
@@ -750,6 +805,23 @@ class TestLab:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 120
         assert "about 10^" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nk, trials", [("4", "3"), ("1", "1")], ids=["n4-k4", "n1-k1"])
+    def test_huge_kr_sigma_order_exits_4_at_once(self, tmp_path, nk, trials):
+        # order * n * k is bounded before n^order is formed: at n = 4 that
+        # power has 2 * 10^20 bits, at n = 1 the chain has 10^20 factors
+        src = os.path.dirname(os.path.dirname(os.path.abspath(smoothed_lab.__file__)))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensordec.cli", "lab", "kr-sigma", "--n", nk,
+             "--k", nk, "--l", str(10**20), "--trials", trials, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 120
+        assert "order * n * k" in proc.stderr and "about 10^" in proc.stderr
         assert not out.exists()
 
     def test_projection_basis_over_budget_exits_4(self, tmp_path):
@@ -831,10 +903,11 @@ class TestOutOfMemory:
         ["learn", "gmm", "--k", "3", "--n", "8", "--samples", _PAST_INT64],
         ["learn", "hmm", "--k", "3", "--n", _PAST_INT64, "--samples", "100"],
         ["learn", "hmm", "--k", "3", "--n", "6", "--samples", _PAST_INT64],
+        ["learn", "hmm", "--k", "2", "--n", "3", "--samples", "10", "--window", _PAST_INT64],
         ["lab", "kr-sigma", "--n", "4", "--k", "4", "--l", "2", "--trials", _PAST_INT64],
         ["lab", "projection", "--n", "4", "--l", "1", "--delta", "0.5",
          "--trials", _PAST_INT64],
-    ], ids=["synth-rank", "gmm-n", "gmm-samples", "hmm-n", "hmm-samples",
+    ], ids=["synth-rank", "gmm-n", "gmm-samples", "hmm-n", "hmm-samples", "hmm-window",
             "kr-sigma-trials", "projection-trials"])
     def test_count_past_int64_exits_4(self, tmp_path, capsys, argv):
         # no array dimension can exceed 2^63 - 1: the count is refused where

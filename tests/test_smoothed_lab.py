@@ -200,6 +200,13 @@ class TestKrSigmaExperiment:
         with pytest.raises(PreconditionError):
             kr_sigma_experiment(4, 5, order=3, rho=1.0, trials=2)
 
+    def test_factors_above_element_budget_rejected(self, monkeypatch):
+        # a 1 x 1 chain fits at any order, but its order factors are counted
+        monkeypatch.setattr(smoothed_lab, "_ELEMENT_BUDGET", 48)
+        assert kr_sigma_experiment(1, 1, order=48, rho=1.0, trials=2).values.size == 2
+        with pytest.raises(PreconditionError, match=r"factors \(order \* n \* k\) of 49 "):
+            kr_sigma_experiment(1, 1, order=49, rho=1.0, trials=2)
+
 
 def _reversed_order(f, items):
     items = list(items)
@@ -390,6 +397,13 @@ class TestProjectionExperiment:
             projection_experiment(8, 1, delta=0.5, rho=1.0, trials=5,
                                   subspace="sparse")
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, 1.5, 1e308, np.nan, np.inf])
+    def test_delta_outside_unit_interval_rejected(self, monkeypatch, delta):
+        # a dimension ceil(delta * n^l) in [1, n^l] is exactly 0 < delta <= 1
+        monkeypatch.setattr(smoothed_lab, "_subspace_basis", None)
+        with pytest.raises(PreconditionError, match=r"delta must lie in \(0, 1\]"):
+            projection_experiment(8, 2, delta=delta, rho=1.0, trials=5)
+
     @pytest.mark.parametrize("rho, delta", [(np.inf, 0.5), (np.nan, 0.5),
                                             (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_rho_or_delta_rejected(self, rho, delta):
@@ -435,19 +449,20 @@ class TestProjectionExperiment:
 
     @pytest.mark.parametrize("rho, message", [
         (1.0, "underflows"),
-        (1e150, "delta \\* n\\^order must be finite"),
+        (1e150, "projection basis .* exceeds"),
     ], ids=["threshold-scale", "subspace-dim"])
     def test_huge_n_rejected_before_any_trial(self, monkeypatch, rho, message):
         # n^2 = 1e310 is an int beyond float64: rho^2 / n^2 is compared in
-        # logarithms, and delta * n^2 overflows once rho lifts that scale
+        # logarithms, and once rho lifts that scale, n^2 alone is over the
+        # basis budget before delta * n^2 is formed
         monkeypatch.setattr(smoothed_lab, "_trial_values", None)
         with pytest.raises(PreconditionError, match=message):
             projection_experiment(10**155, 2, delta=0.5, rho=rho, trials=1)
 
     @pytest.mark.parametrize("delta", [1e-200, 1e-320])
     def test_huge_n_with_finite_product_meets_the_budget(self, monkeypatch, delta):
-        # delta * n^2 is 1e110 or 1e-10, both finite: the exact product gives
-        # the subspace dimension, and the basis it needs is over budget
+        # delta * n^2 is 1e110 or 1e-10, both finite, but n^2 alone is over
+        # the basis budget, so the product is never formed
         monkeypatch.setattr(smoothed_lab, "_trial_values", None)
         with pytest.raises(PreconditionError, match="projection basis .* exceeds"):
             projection_experiment(10**155, 2, delta=delta, rho=1e150, trials=1)
@@ -460,6 +475,13 @@ class TestProjectionExperiment:
 
 
 class TestBuildPivotBasis:
+    def test_builders_leave_the_basis_unwritten(self):
+        # neither builder copies its input, so neither may write to it
+        basis = np.linalg.qr(np.random.default_rng(3).standard_normal((16, 6)))[0]
+        basis.flags.writeable = False
+        build_pivot_basis(basis).validate()
+        build_pivot_basis_l2(basis, 4).validate()
+
     def test_two_coordinate_directions(self):
         basis = np.eye(5)[:, :2]
         pb = build_pivot_basis(basis)
